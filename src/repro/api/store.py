@@ -75,6 +75,20 @@ __all__ = [
 #: Version of the store layout (manifest schema + file naming).
 STORE_VERSION = 1
 
+#: Read size of the streamed payload hash on put.
+_HASH_CHUNK = 1 << 20
+
+
+def _file_digest(path: Path) -> tuple[str, int]:
+    """SHA-256 hex digest and byte size of ``path``, read in chunks."""
+    h = hashlib.sha256()
+    size = 0
+    with open(path, "rb") as f:
+        while chunk := f.read(_HASH_CHUNK):
+            h.update(chunk)
+            size += len(chunk)
+    return h.hexdigest(), size
+
 
 @dataclass(frozen=True)
 class ArtifactTier:
@@ -517,7 +531,9 @@ class PlanStore:
         tmp_payload = directory / f"{digest}.{os.getpid()}.tmp.npz"
         try:
             _tier(tier).save(value, tmp_payload)
-            data = tmp_payload.read_bytes()
+            # Hash what was written, before it becomes visible: one
+            # streamed pass, never the whole payload in memory at once.
+            sha256, size = _file_digest(tmp_payload)
             os.replace(tmp_payload, payload_path)
         finally:
             tmp_payload.unlink(missing_ok=True)
@@ -525,8 +541,8 @@ class PlanStore:
             "store_version": STORE_VERSION,
             "tier": tier,
             "key": key_repr,
-            "sha256": hashlib.sha256(data).hexdigest(),
-            "size": len(data),
+            "sha256": sha256,
+            "size": size,
             # analysis: waive R004 -- entry age for `repro gc --max-age`;
             # the content address is the sha256 above, never this stamp
             "created": time.time(),

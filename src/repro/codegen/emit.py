@@ -377,49 +377,53 @@ def _runs(segments: list[tuple[int, int]]):
 _PAD_LIMIT = 1.3
 
 
-def _row_panel_tables(pairs, row_range, col_range, blocks):
+def _row_panel_tables(pairs, row_range, col_range, buf, offsets):
     """Row panels for one reduction loop: (panel, gather runs, K, si, ei).
 
     ``row_range``/``col_range`` map a node id to its ``[start, stop)`` rows
-    in the output/operand panel; ``blocks[(i, j)]`` is the generator. A
-    single gather run executes against a *view* of the operand; when the
-    runs almost tile their span, the panel is zero-padded over the holes to
-    force that case (``_PAD_LIMIT`` bounds the wasted flops).
+    in the output/operand panel; the generator of pair ``(i, j)`` is the
+    ``(len(row_range(i)), len(col_range(j)))`` block stored row-major at
+    ``buf[offsets[(i, j)]:]`` (a CDS flat buffer). A single gather run
+    executes against a *view* of the operand; when the runs almost tile
+    their span, the panel is zero-padded over the holes to force that
+    case (``_PAD_LIMIT`` bounds the wasted flops).
     """
     by_row: dict[int, list[int]] = {}
     for (i, j) in pairs:
         by_row.setdefault(i, []).append(j)
     table = []
     for i, js in by_row.items():
-        js = sorted(js, key=lambda j: col_range(j)[0])
-        segs = [col_range(j) for j in js]
-        runs = _runs(segs)
+        si, ei = row_range(i)
+        m = ei - si
+        cols = sorted(((col_range(j), j) for j in js),
+                      key=lambda c: c[0][0])
+        runs = _runs([seg for seg, _j in cols])
         k = sum(b - a for a, b in runs)
         lo, hi = runs[0][0], runs[-1][1]
-        m = blocks[(i, js[0])].shape[0]
         if len(runs) > 1 and hi - lo <= _PAD_LIMIT * k:
+            # Padded: each block sits at its operand offset, holes stay 0.
             panel = np.zeros((m, hi - lo))
-            for j, (a, b) in zip(js, segs, strict=True):
-                panel[:, a - lo:b - lo] = blocks[(i, j)]
-            runs = ((lo, hi),)
-            k = hi - lo
+            base = lo
+            runs, k = ((lo, hi),), hi - lo
         else:
-            panel = np.ascontiguousarray(
-                np.hstack([blocks[(i, j)] for j in js])
-            )
-        si, ei = row_range(i)
+            panel = np.empty((m, k))
+            base = None
+        col = 0
+        for (a, b), j in cols:
+            n = b - a
+            c0 = col if base is None else a - base
+            off = offsets[(i, j)]
+            panel[:, c0:c0 + n] = buf[off:off + m * n].reshape(m, n)
+            col += n
         table.append((panel, runs, k, si, ei))
     return tuple(table)
 
 
 def _batched_near_tables(cds: CDSMatrix):
     t = cds.tree
-
-    def rng(v):
-        return (int(t.start[v]), int(t.stop[v]))
-
-    blocks = {p: cds.near(*p) for p in cds.near_visit_order()}
-    return _row_panel_tables(cds.near_visit_order(), rng, rng, blocks)
+    rng = list(zip(t.start.tolist(), t.stop.tolist()))
+    return _row_panel_tables(cds.near_visit_order(), rng.__getitem__,
+                             rng.__getitem__, cds.near_buf, cds.near_offset)
 
 
 def _rank_offsets(cds: CDSMatrix) -> tuple[dict[int, int], int]:
@@ -484,12 +488,9 @@ def _batched_tree_tables(cds: CDSMatrix, toff: dict[int, int]):
 
 def _batched_far_tables(cds: CDSMatrix, toff: dict[int, int]):
     srank = cds.factors.srank
-
-    def rng(v):
-        return (toff[v], toff[v] + srank(v))
-
-    blocks = {p: cds.far(*p) for p in cds.far_visit_order()}
-    return _row_panel_tables(cds.far_visit_order(), rng, rng, blocks)
+    rng = {v: (o, o + srank(v)) for v, o in toff.items()}
+    return _row_panel_tables(cds.far_visit_order(), rng.__getitem__,
+                             rng.__getitem__, cds.far_buf, cds.far_offset)
 
 
 _BATCHED_SOURCE = '''\

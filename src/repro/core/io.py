@@ -16,6 +16,13 @@ them without re-inspecting. This module provides the same capability:
 Format: a single ``.npz`` file holding the numeric buffers plus a JSON
 manifest for the structural metadata. No pickle is involved, so the files
 are safe to share and stable across Python versions.
+
+Members are written *stored*, not deflated (``np.savez``): the payload is
+mostly float64 generator buffers, which zlib shrinks by only ~15% at a
+cost of ~1 s per HMatrix, so a write costs what its bytes cost. The
+loaders go through ``np.load``, which reads stored and deflated members
+alike, so files written deflated by older builds load unchanged under
+the same ``_FORMAT_VERSION``.
 """
 
 from __future__ import annotations
@@ -238,7 +245,7 @@ def save_hmatrix(H, path) -> Path:
     arrays["manifest"] = np.frombuffer(
         json.dumps(manifest).encode(), dtype=np.uint8
     )
-    np.savez_compressed(path, **arrays)
+    np.savez(path, **arrays)
     return path
 
 
@@ -351,7 +358,7 @@ def save_inspection_p1(p1: InspectionP1, path) -> Path:
     arrays["manifest"] = np.frombuffer(
         json.dumps(manifest).encode(), dtype=np.uint8
     )
-    np.savez_compressed(path, **arrays)
+    np.savez(path, **arrays)
     return path
 
 
@@ -415,7 +422,7 @@ def save_tuning_profile(profile, path) -> Path:
     path = Path(path)
     manifest = {"version": _FORMAT_VERSION, "profile": profile}
     blob = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
-    np.savez_compressed(path, manifest=blob)
+    np.savez(path, manifest=blob)
     return path
 
 

@@ -141,12 +141,10 @@ class _ShardPlan:
     near_pairs: list = field(default_factory=list)
     point_rows: dict = field(default_factory=dict)
     near_off: dict = field(default_factory=dict)
-    near_shape: dict = field(default_factory=dict)
     # Far shard: pairs + skeleton-row ranges in the T/S panels.
     far_pairs: list = field(default_factory=list)
     skel_rows: dict = field(default_factory=dict)
     far_off: dict = field(default_factory=dict)
-    far_shape: dict = field(default_factory=dict)
     # Leaf basis shard: (basis offset, rows, cols, point start, T offset).
     leaf_specs: list = field(default_factory=list)
 
@@ -165,25 +163,13 @@ class _ShardState:
 
         self.plan = plan
 
-        def views(pairs, offs, shapes, buf):
-            out = {}
-            for p in pairs:
-                r, c = shapes[p]
-                o = offs[p]
-                out[p] = buf[o:o + r * c].reshape(r, c)
-            return out
-
-        near_blocks = views(plan.near_pairs, plan.near_off,
-                            plan.near_shape, near_buf)
-        far_blocks = views(plan.far_pairs, plan.far_off,
-                           plan.far_shape, far_buf)
         self.near_panels = _row_panel_tables(
             plan.near_pairs, plan.point_rows.__getitem__,
-            plan.point_rows.__getitem__, near_blocks,
+            plan.point_rows.__getitem__, near_buf, plan.near_off,
         ) if plan.near_pairs else ()
         self.far_panels = _row_panel_tables(
             plan.far_pairs, plan.skel_rows.__getitem__,
-            plan.skel_rows.__getitem__, far_blocks,
+            plan.skel_rows.__getitem__, far_buf, plan.far_off,
         ) if plan.far_pairs else ()
         max_k = max(
             (e[2] for e in self.near_panels + self.far_panels
@@ -484,7 +470,6 @@ class ProcessEngine:
                 plan.point_rows[i] = point_range(i)
                 plan.point_rows[j] = point_range(j)
                 plan.near_off[(i, j)] = int(cds.near_offset[(i, j)])
-                plan.near_shape[(i, j)] = (t.node_size(i), t.node_size(j))
             for gi in far_shards[wid]:
                 _i, pairs = far_groups[gi]
                 plan.far_pairs.extend(pairs)
@@ -492,7 +477,6 @@ class ProcessEngine:
                 plan.skel_rows[i] = skel_range(i)
                 plan.skel_rows[j] = skel_range(j)
                 plan.far_off[(i, j)] = int(cds.far_offset[(i, j)])
-                plan.far_shape[(i, j)] = (srank(i), srank(j))
             for li in leaf_shards[wid]:
                 v = leaves[li]
                 rows, cols = cds.basis_shape[v]

@@ -256,7 +256,8 @@ def _pack_pairs(offsets, order, blocks, which, cds) -> None:
     missing = [p for p in order if p not in blocks]
     if missing:
         raise ValueError(f"{which} blockset references missing blocks: {missing[:5]}")
-    extra = [p for p in blocks if p not in set(order)]
+    in_order = set(order)
+    extra = [p for p in blocks if p not in in_order]
     full_order = list(order) + sorted(extra)
     total = int(sum(blocks[p].size for p in full_order))
     buf = np.empty(total)

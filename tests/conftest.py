@@ -89,3 +89,17 @@ def hmatrix_2d(points_2d, gaussian_kernel, inspector_small):
 @pytest.fixture(scope="session")
 def p1_2d(points_2d, inspector_small):
     return inspector_small.run_p1(points_2d)
+
+
+def _deflate_npz(path):
+    """Rewrite an .npz with every member deflated, as older builds wrote
+    their artifacts (``np.savez_compressed``, same member names)."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {k: data[k] for k in data.files}
+    np.savez_compressed(path, **arrays)
+    return path
+
+
+@pytest.fixture(scope="session")
+def deflate_npz():
+    return _deflate_npz

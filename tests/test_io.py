@@ -1,5 +1,7 @@
 """Round-trip tests for HMatrix and InspectionP1 persistence."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,14 @@ from repro.core.io import (
     PlanStoreError,
     load_hmatrix,
     load_inspection_p1,
+    load_tuning_profile,
     save_hmatrix,
     save_inspection_p1,
+    save_tuning_profile,
 )
+
+PROFILE = {"version": 1, "plan": "planfp", "host": "h",
+           "crossovers": {"compiled": 8, "batched": 64}}
 
 
 class TestHMatrixRoundtrip:
@@ -183,3 +190,51 @@ class TestCorruptedArtifactsFailClosed:
 
     def test_plan_store_error_is_runtime_error(self):
         assert issubclass(PlanStoreError, RuntimeError)
+
+
+class TestCodec:
+    """Payloads are written stored; deflated payloads still load."""
+
+    def _saved(self, hmatrix_2d, p1_2d, tmp_path):
+        return [save_hmatrix(hmatrix_2d, tmp_path / "h.npz"),
+                save_inspection_p1(p1_2d, tmp_path / "p1.npz"),
+                save_tuning_profile(PROFILE, tmp_path / "prof.npz")]
+
+    def test_every_member_stored_uncompressed(self, hmatrix_2d, p1_2d,
+                                              tmp_path):
+        for path in self._saved(hmatrix_2d, p1_2d, tmp_path):
+            with zipfile.ZipFile(path) as zf:
+                infos = zf.infolist()
+            assert infos
+            assert {i.compress_type for i in infos} == {zipfile.ZIP_STORED}
+
+    def test_deflated_payloads_load_identically(self, hmatrix_2d, p1_2d,
+                                                tmp_path, deflate_npz):
+        h, p1, prof = self._saved(hmatrix_2d, p1_2d, tmp_path)
+        H_a, p1_a, prof_a = (load_hmatrix(h), load_inspection_p1(p1),
+                             load_tuning_profile(prof))
+        for path in (h, p1, prof):
+            deflate_npz(path)
+            with zipfile.ZipFile(path) as zf:
+                assert {i.compress_type for i in zf.infolist()} == {
+                    zipfile.ZIP_DEFLATED}
+        H_b, p1_b, prof_b = (load_hmatrix(h), load_inspection_p1(p1),
+                             load_tuning_profile(prof))
+
+        for buf in ("basis_buf", "near_buf", "far_buf"):
+            a, b = getattr(H_a.cds, buf), getattr(H_b.cds, buf)
+            assert a.tobytes() == b.tobytes()
+        assert H_b.cds.near_offset == H_a.cds.near_offset
+        assert H_b.cds.far_offset == H_a.cds.far_offset
+        W = np.random.default_rng(0).random((H_a.dim, 3))
+        assert H_b.matmul(W).tobytes() == H_a.matmul(W).tobytes()
+
+        assert p1_b.tree.perm.tobytes() == p1_a.tree.perm.tobytes()
+        assert p1_b.tree.points.tobytes() == p1_a.tree.points.tobytes()
+        for v in range(p1_a.tree.num_nodes):
+            np.testing.assert_array_equal(p1_b.plan.for_node(v),
+                                          p1_a.plan.for_node(v))
+        assert p1_b.near_blockset.blocks == p1_a.near_blockset.blocks
+        assert p1_b.htree.far == p1_a.htree.far
+
+        assert prof_b == prof_a == PROFILE

@@ -6,13 +6,16 @@ an existing store directory must serve its first matmul with zero
 must fail closed with :class:`PlanStoreError`.
 """
 
+import hashlib
 import json
 import threading
+import zipfile
 
 import numpy as np
 import pytest
 
 from repro import PlanConfig, PlanStore, PlanStoreError, Session
+from repro.api import store as store_mod
 from repro.api.store import registered_tiers
 
 PLAN = PlanConfig(leaf_size=32, bacc=1e-6, p=4, seed=0)
@@ -132,6 +135,76 @@ class TestDiskTier:
         assert store.warm() == 2  # one p1 + one hmatrix artifact
         info = store.cache_info()
         assert info["p1_entries"] == 1 and info["hmatrix_entries"] == 1
+
+
+def _put_all(store, hmatrix_2d, p1_2d):
+    """One artifact of each built-in tier; returns {tier: key}."""
+    keys = {"hmatrix": ("pfp", "planfp"), "p1": ("pfp", "p1fp"),
+            "profile": ("planfp", "host")}
+    store.put("hmatrix", keys["hmatrix"], hmatrix_2d)
+    store.put("p1", keys["p1"], p1_2d)
+    store.put("profile", keys["profile"], {"crossovers": {"batched": 64}})
+    return keys
+
+
+class TestPayloadCodec:
+    """Payloads are stored uncompressed and hashed in one streamed pass;
+    deflated payloads from older builds stay readable and warm."""
+
+    def test_every_payload_member_stored(self, hmatrix_2d, p1_2d,
+                                         tmp_path):
+        _put_all(PlanStore(tmp_path), hmatrix_2d, p1_2d)
+        payloads = sorted(tmp_path.glob("*.npz"))
+        assert len(payloads) == 3
+        for payload in payloads:
+            with zipfile.ZipFile(payload) as zf:
+                kinds = {i.compress_type for i in zf.infolist()}
+            assert kinds == {zipfile.ZIP_STORED}, payload
+
+    def test_streamed_hash_matches_one_shot_hash(self, hmatrix_2d, p1_2d,
+                                                 tmp_path, monkeypatch):
+        # A chunk size that divides no payload forces many full chunks
+        # plus a short tail through the streamed hash.
+        monkeypatch.setattr(store_mod, "_HASH_CHUNK", 1000)
+        store = PlanStore(tmp_path)
+        _put_all(store, hmatrix_2d, p1_2d)
+        entries = store.entries()
+        assert len(entries) == 3
+        for entry in entries:
+            data = (tmp_path / f"{entry['digest']}.npz").read_bytes()
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+            assert entry["size"] == len(data)
+
+    def test_deflated_store_loads_identically(self, hmatrix_2d, p1_2d,
+                                              tmp_path, deflate_npz):
+        keys = _put_all(PlanStore(tmp_path), hmatrix_2d, p1_2d)
+        stored = PlanStore(tmp_path)
+        want = {tier: stored.get(tier, key) for tier, key in keys.items()}
+        # Rewrite every entry the way older builds wrote it: deflated
+        # payload, manifest hashing those bytes.
+        for manifest_path in tmp_path.glob("*.json"):
+            payload = deflate_npz(manifest_path.with_suffix(".npz"))
+            data = payload.read_bytes()
+            manifest = json.loads(manifest_path.read_text())
+            manifest["sha256"] = hashlib.sha256(data).hexdigest()
+            manifest["size"] = len(data)
+            manifest_path.write_text(json.dumps(manifest))
+
+        fresh = PlanStore(tmp_path)
+        assert fresh.warm() == 3
+        got = {tier: fresh.get(tier, key) for tier, key in keys.items()}
+        assert fresh.stats.integrity_failures == 0
+        H_a, H_b = want["hmatrix"], got["hmatrix"]
+        for buf in ("basis_buf", "near_buf", "far_buf"):
+            assert (getattr(H_b.cds, buf).tobytes()
+                    == getattr(H_a.cds, buf).tobytes())
+        W = np.random.default_rng(2).random((H_a.dim, 3))
+        assert H_b.matmul(W).tobytes() == H_a.matmul(W).tobytes()
+        assert (got["p1"].tree.perm.tobytes()
+                == want["p1"].tree.perm.tobytes())
+        assert got["p1"].near_blockset.blocks == (
+            want["p1"].near_blockset.blocks)
+        assert got["profile"] == want["profile"]
 
 
 class TestIntegrity:

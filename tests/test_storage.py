@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import build_blockset, build_coarsenset
+from repro.analysis.structure_sets import BlockSet
 from repro.compression import compress
 from repro.storage import build_cds, build_treebased
 
@@ -81,6 +82,91 @@ class TestCDS:
         for v in range(res.tree.num_nodes):
             if res.factors.srank(v) > 0:
                 assert v in cds.basis_offset
+
+
+def _reference_cds(factors, coarsenset, near_blockset, far_blockset):
+    """The CDS packing written out longhand, as a fixed reference: basis
+    in coarsenset order then uncovered nodes by id; near/far blocks in
+    blockset order, then pairs the blockset misses, sorted."""
+    tree = factors.tree
+    order = coarsenset.all_nodes()
+    order += [v for v in range(tree.num_nodes)
+              if factors.srank(v) > 0 and v not in order]
+    gens = {v: (factors.leaf_basis[v] if tree.is_leaf(v)
+                else factors.transfer[v]) for v in order}
+    out = {"basis_shape": {v: g.shape for v, g in gens.items()}}
+    out["basis_buf"], out["basis_offset"] = _reference_pack(order, gens)
+    for which, bs, blocks in (("near", near_blockset, factors.near_blocks),
+                              ("far", far_blockset, factors.coupling)):
+        order = bs.all_interactions()
+        extra = [p for p in blocks if p not in order]
+        out[f"{which}_buf"], out[f"{which}_offset"] = _reference_pack(
+            order + sorted(extra), blocks)
+    return out
+
+
+def _reference_pack(order, gens):
+    offsets, parts, off = {}, [], 0
+    for key in order:
+        offsets[key] = off
+        parts.append(gens[key].ravel())
+        off += gens[key].size
+    buf = np.concatenate(parts) if parts else np.empty(0)
+    return buf, offsets
+
+
+def _assert_matches_reference(cds, ref):
+    for buf in ("basis_buf", "near_buf", "far_buf"):
+        got = getattr(cds, buf)
+        assert got.dtype == ref[buf].dtype
+        assert got.tobytes() == ref[buf].tobytes(), buf
+    for offsets in ("basis_offset", "near_offset", "far_offset"):
+        got = getattr(cds, offsets)
+        assert got == ref[offsets], offsets
+        assert list(got) == list(ref[offsets]), offsets  # packing order
+    assert cds.basis_shape == ref["basis_shape"]
+
+
+def _drop_every(bs, stride):
+    """A copy of ``bs`` missing every ``stride``-th interaction."""
+    kept = [[p for n, p in enumerate(block) if n % stride]
+            for block in bs.blocks]
+    dropped = [p for block in bs.blocks
+               for n, p in enumerate(block) if not n % stride]
+    return (BlockSet(blocks=[b for b in kept if b],
+                     blocksize=bs.blocksize, kind=bs.kind), dropped)
+
+
+class TestBuildCDSPacking:
+    """``build_cds`` output is pinned byte-for-byte to the reference."""
+
+    def test_matches_reference_packing(self, packed):
+        res, cds = packed
+        ref = _reference_cds(res.factors, cds.coarsenset,
+                             cds.near_blockset, cds.far_blockset)
+        _assert_matches_reference(cds, ref)
+
+    def test_pairs_outside_blockset_packed_last_sorted(self, packed):
+        res, cds = packed
+        near_bs, near_extra = _drop_every(cds.near_blockset, 3)
+        far_bs, far_extra = _drop_every(cds.far_blockset, 2)
+        assert near_extra and far_extra
+        got = build_cds(res.factors, cds.coarsenset, near_bs, far_bs)
+        _assert_matches_reference(
+            got, _reference_cds(res.factors, cds.coarsenset, near_bs,
+                                far_bs))
+        for offsets, bs, extra in ((got.near_offset, near_bs, near_extra),
+                                   (got.far_offset, far_bs, far_extra)):
+            tail = list(offsets)[bs.num_interactions():]
+            assert tail == sorted(extra)
+            assert (min(offsets[p] for p in extra)
+                    > max(offsets[p] for p in bs.all_interactions()))
+
+    def test_missing_block_rejected(self, packed):
+        res, cds = packed
+        bogus = BlockSet(blocks=[[(-1, -1)]], blocksize=1, kind="near")
+        with pytest.raises(ValueError, match="missing blocks"):
+            build_cds(res.factors, cds.coarsenset, bogus, cds.far_blockset)
 
 
 class TestTreeBased:
