@@ -10,10 +10,16 @@ or a solver down to :meth:`HMatrix.matmul`.
 
 There is exactly one documented default, :data:`DEFAULT_POLICY`:
 
-* ``order="batched"`` — the bucketed batched-GEMM engine, which falls back
+* ``order="batched"`` — the one batched order. It picks its driver from
+  the width of the panel it is handed: panels of at most
+  :data:`NARROW_Q_MAX` columns run the fused frozen-table driver
+  (:mod:`repro.codegen.compiled`), wider panels the row-panel evaluator
+  with q-chunk streaming (:mod:`repro.codegen.emit`). The two drivers
+  are byte-identical, so the width only decides speed. Both fall back
   bit-compatibly to the per-block code whenever the cost model rejected
-  batch lowering, so it is a strict superset of the old ``"original"``
-  default;
+  batch lowering, so the order is a strict superset of the old
+  ``"original"`` default. ``"compiled"`` is a deprecated spelling of it
+  (stored profiles, CLI flags and wire requests still parse);
 * ``num_threads=None`` — serial (no thread pool);
 * ``q_chunk=None`` — the generated evaluator's own streaming panel width
   (:data:`DEFAULT_Q_CHUNK` columns), the cache-sized chunking the codegen
@@ -34,10 +40,22 @@ from dataclasses import dataclass, replace
 #: set inside the last-level cache (see DESIGN.md section 3).
 DEFAULT_Q_CHUNK = 256
 
+#: Panels of at most this many columns run the fused frozen-table driver
+#: under the batched order; wider panels run the row-panel evaluator. A
+#: measured crossover, not a knob (DESIGN.md section 12.1 has the rows).
+NARROW_Q_MAX = 4
+
+
+def runs_fused(q: int, q_chunk: int | None = None) -> bool:
+    """Whether the batched order runs a ``q``-column panel on the fused
+    driver: the panel is narrow and runs in one pass (an explicit
+    ``q_chunk`` narrower than it streams through the row-panel
+    evaluator instead)."""
+    return 0 < q <= NARROW_Q_MAX and (q_chunk is None or q <= q_chunk)
+
 #: The evaluation orders an :class:`ExecutionPolicy` may request.
-#: ``"compiled"`` runs the fused compiled executor
-#: (:mod:`repro.codegen.compiled`), degrading to ``"batched"`` when no
-#: compiled evaluator is available for the operator/host.
+#: ``"compiled"`` is a deprecated spelling of ``"batched"``: a policy
+#: built with it holds ``order="batched"``.
 #: ``"auto"`` defers the choice to the profile-guided autotuner
 #: (:mod:`repro.tuning`): it resolves to one of the concrete orders (and a
 #: backend/thread/worker/q_chunk setting) before any evaluator runs.
@@ -84,11 +102,13 @@ class ExecutionPolicy:
     ----------
     order:
         ``"batched"`` (default) evaluates through the bucketed batched-GEMM
-        engine, falling back to the per-block code when the cost model
-        rejected batch lowering; ``"compiled"`` runs the fused compiled
-        executor (bit-identical to ``"batched"``; degrades to it when no
-        compiled evaluator is available); ``"original"`` forces the
-        per-block code; all three treat W rows as being in the user's
+        engine: panels of at most :data:`NARROW_Q_MAX` columns run the
+        fused frozen-table driver, wider ones the row-panel evaluator
+        (byte-identical drivers; the width only picks the faster one).
+        It falls back to the per-block code when the cost model
+        rejected batch lowering. ``"compiled"`` is a deprecated spelling
+        of ``"batched"`` and is stored as it. ``"original"`` forces the
+        per-block code. Both orders treat W rows as being in the user's
         input point order.
         ``"tree"`` skips the permutations (internal/benchmark use).
         ``"auto"`` resolves through the profile-guided autotuner
@@ -133,6 +153,8 @@ class ExecutionPolicy:
             raise ValueError(
                 f"order must be one of {VALID_ORDERS}, got {self.order!r}"
             )
+        if self.order == "compiled":
+            object.__setattr__(self, "order", "batched")
         if self.backend not in VALID_BACKENDS:
             raise ValueError(
                 f"backend must be one of {VALID_BACKENDS}, got "

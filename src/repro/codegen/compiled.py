@@ -2,12 +2,13 @@
 
 This is the last lowering step the paper leaves on the inspector side:
 :mod:`repro.codegen.emit` already specializes Python source per HMatrix,
-but its batched evaluator still re-derives nothing *and* still pays
-Python dispatch per panel — slicing, branching, temporary allocation —
-on every call. At Q=1 (the latency-critical serving shape) that
-interpreter overhead dominates the actual GEMM work.
+but its row-panel evaluator still pays Python dispatch per panel —
+slicing, branching, temporary allocation — on every call. At Q=1 (the
+latency-critical serving and solver shape) that interpreter overhead
+dominates the actual GEMM work.
 
-``order="compiled"`` closes the gap with a **fused executor**:
+The default ``order="batched"`` therefore runs every panel of at most
+:data:`NARROW_Q_MAX` columns on a **fused executor**:
 
 * every index table (gather runs, scatter rows, shape-bucket layouts)
   is precomputed once and frozen into flat arrays;
@@ -20,23 +21,27 @@ interpreter overhead dominates the actual GEMM work.
 * the driver itself is **emitted source** (``compile``/``exec``, like
   the rest of codegen) so the artifact records exactly what runs.
 
+Wider panels run the row-panel evaluator: there the work is BLAS-bound,
+and the fused driver's global gathers spill the cache (measured rows in
+DESIGN.md section 12.1). ``"compiled"`` is a deprecated spelling of the
+same order.
+
 Two backends, selected by a capability probe:
 
 * ``"numpy-fused"`` — always available, zero new dependencies; gathers
   and scatters are vectorized NumPy ops.
 * ``"numba"`` — when :mod:`numba` is importable (never a hard
   dependency), the gather/scatter loops are JIT-compiled; GEMMs still go
-  through ``np.matmul`` so results stay **bit-identical** to
-  ``order="batched"`` on either backend.
+  through ``np.matmul`` so results stay **bit-identical** to the
+  row-panel evaluator on either backend.
 
 Bit-identity contract: for narrow panels the fused driver performs the
 *same* floating-point operations in the *same* accumulation order as the
-batched evaluator (stacked GEMMs are bitwise equal to their per-slice
+row-panel evaluator (stacked GEMMs are bitwise equal to their per-slice
 2-D calls; gathers/scatters only move bytes), so outputs are
-byte-identical. Panels wider than :data:`NARROW_Q_MAX` columns delegate
-to the batched evaluator outright — at those widths the work is
-BLAS-bound and fusion has nothing left to win, so delegation keeps
-parity *and* bit-identity by construction.
+byte-identical, and the panel width only decides speed. Called directly,
+a :class:`CompiledEvaluator` hands wider panels to the row-panel
+evaluator itself.
 
 Artifacts (:class:`CompiledArtifact`: index tables, panel arenas,
 workspace plan, emitted source) persist in the PlanStore tier
@@ -45,8 +50,8 @@ workspace plan, emitted source) persist in the PlanStore tier
 this module plugs into the store without touching :mod:`repro.core.io`.
 A warm Session reloads them with **zero recompiles**
 (:class:`CompiledStats` counts builds vs store hits). Host-mismatched,
-version-skewed, or backend-unavailable artifacts degrade to
-``order="batched"`` with a typed fallback counter — never an exception.
+version-skewed, or backend-unavailable artifacts degrade to the
+row-panel evaluator with a typed fallback counter — never an exception.
 """
 
 from __future__ import annotations
@@ -55,24 +60,31 @@ import importlib.util
 import json
 import os
 import threading
-from dataclasses import dataclass, field, replace as _dc_replace
+import weakref
+from typing import TYPE_CHECKING
+from dataclasses import InitVar, dataclass, field, replace as _dc_replace
 
 import numpy as np
 
 from repro.analysis.codegen_check import AnalysisError, verify_artifact
 from repro.api.store import ArtifactTier, PlanStore, register_tier
+from repro.api.policy import NARROW_Q_MAX
+from repro.codegen import emit
 from repro.codegen.emit import (
     GeneratedEvaluator,
-    _batched_far_tables,
-    _batched_near_tables,
     _batched_tree_tables,
+    _far_layout,
+    _fill_panel,
+    _near_layout,
     _rank_offsets,
 )
 from repro.core.io import PlanStoreError
 from repro.observability.sync import make_lock, make_rlock
 from repro.host import host_key, host_signature
-from repro.tuning.autotune import AutotuneBackend, register_autotune_backend
 from repro.tuning.profile import hmatrix_fingerprint
+
+if TYPE_CHECKING:  # annotation-only: core imports this module lazily
+    from repro.core.hmatrix import HMatrix
 
 __all__ = [
     "COMPILED_FORMAT_VERSION",
@@ -95,11 +107,6 @@ __all__ = [
 #: Payload format version of the compiled tier (bump on layout change;
 #: skewed artifacts degrade to a rebuild, never a misread).
 COMPILED_FORMAT_VERSION = 1
-
-#: Panels at most this many columns run the fused narrow-Q driver; wider
-#: panels delegate to the batched evaluator (BLAS-bound regime — fusion
-#: wins nothing there, and delegation keeps bit-identity by construction).
-NARROW_Q_MAX = 8
 
 NUMPY_BACKEND = "numpy-fused"
 NUMBA_BACKEND = "numba"
@@ -345,11 +352,12 @@ def build_artifact(cds, *, backend: str | None = None,
                    created: float | None = None) -> CompiledArtifact:
     """Lower one CDS matrix to a :class:`CompiledArtifact`.
 
-    Reuses the exact table builders behind the batched evaluator
-    (:func:`~repro.codegen.emit._batched_near_tables` and friends), so
-    the fused plan is *derived from the same schedule* it must match
-    bit-for-bit; it then freezes panels into arenas and gathers into
-    global index tables.
+    Reuses the exact layouts behind the row-panel evaluator
+    (:func:`~repro.codegen.emit._near_layout` and friends), so the fused
+    plan is *derived from the same schedule* it must match bit-for-bit.
+    Each arena is allocated once and every panel is copied straight
+    from the CDS buffers into its slot; gathers become global index
+    tables, with every offset kept as a running count.
     """
     backend = select_backend(backend)
     if backend == NUMBA_BACKEND:
@@ -359,79 +367,97 @@ def build_artifact(cds, *, backend: str | None = None,
             backend = NUMPY_BACKEND
 
     toff, rank_rows = _rank_offsets(cds)
-    near_panels = _batched_near_tables(cds)
-    far_panels = _batched_far_tables(cds, toff)
-    up_levels, _ = _batched_tree_tables(cds, toff)
+    near = _near_layout(cds)
+    far = _far_layout(cds, toff)
+
+    def _arena(entries):
+        # Zeroed: padded panels rely on their holes staying 0.
+        return np.zeros(sum((ei - si) * k
+                            for _r, k, si, ei, _p, _b in entries))
+
+    def _panels_2d(entries, buf, gidx, g_off):
+        """One 2-D GEMM per panel: arena, specs ``(mode, m, k, si, src)``.
+        A single-run operand is a view at row ``src``; a scattered one
+        is gathered into ``gidx``, at offset ``src`` of its table."""
+        arena, specs, a_off = _arena(entries), [], 0
+        for runs, k, si, ei, _padded, blocks in entries:
+            m = ei - si
+            _fill_panel(arena[a_off:a_off + m * k].reshape(m, k), blocks,
+                        buf)
+            a_off += m * k
+            if len(runs) == 1:
+                specs.append((0, m, k, si, runs[0][0]))
+            else:
+                specs.append((1, m, k, si, g_off))
+                gidx.append(_expand_runs(runs))
+                g_off += k
+        return arena, specs
 
     # ---- near: one 2-D GEMM per row panel --------------------------------
-    near_specs, near_gidx, near_chunks = [], [], []
-    for panel, runs, k, si, _ei in near_panels:
-        m = panel.shape[0]
-        if len(runs) == 1:
-            near_specs.append((0, m, k, si, runs[0][0]))
-        else:
-            near_specs.append((1, m, k, si, sum(g.size for g in near_gidx)))
-            near_gidx.append(_expand_runs(runs))
-        near_chunks.append(np.ascontiguousarray(panel, dtype=np.float64)
-                           .ravel())
+    near_gidx: list[np.ndarray] = []
+    near_arena, near_specs = _panels_2d(near, cds.near_buf, near_gidx, 0)
 
     # ---- far: same-shape groups stack; the rest stay 2-D -----------------
     by_shape: dict[tuple, list[int]] = {}
-    for idx, (panel, _runs, k, _si, _ei) in enumerate(far_panels):
-        by_shape.setdefault((panel.shape[0], k), []).append(idx)
-    stacked = {i for members in by_shape.values() if len(members) > 1
-               for i in members}
+    for idx, (_runs, k, si, ei, _p, _b) in enumerate(far):
+        by_shape.setdefault((ei - si, k), []).append(idx)
+    groups = [(shape, members) for shape, members in by_shape.items()
+              if len(members) > 1]
+    stacked = {i for _shape, members in groups for i in members}
 
     far_gidx: list[np.ndarray] = []
-    fstack_specs, fstack_orows, fstack_chunks = [], [], []
-    for (m, k), members in by_shape.items():
-        if len(members) < 2:
-            continue
-        gat_off = sum(g.size for g in far_gidx)
-        orow_off = sum(r.size for r in fstack_orows)
+    fstack_specs, fstack_orows = [], []
+    fstack_arena = _arena([far[i] for _shape, members in groups
+                           for i in members])
+    a_off = g_off = o_off = 0
+    for (m, k), members in groups:
+        fstack_specs.append((len(members), m, k, g_off, o_off))
         for i in members:
-            panel, runs, _k, si, ei = far_panels[i]
+            runs, _k, si, _ei, _p, blocks = far[i]
+            _fill_panel(fstack_arena[a_off:a_off + m * k].reshape(m, k),
+                        blocks, cds.far_buf)
+            a_off += m * k
             far_gidx.append(_expand_runs(runs))
+            g_off += k
             fstack_orows.append(np.arange(si, si + m))
-            fstack_chunks.append(
-                np.ascontiguousarray(panel, dtype=np.float64).ravel())
-        fstack_specs.append((len(members), m, k, gat_off, orow_off))
-
-    far_specs, far_chunks = [], []
-    for idx, (panel, runs, k, si, _ei) in enumerate(far_panels):
-        if idx in stacked:
-            continue
-        m = panel.shape[0]
-        if len(runs) == 1:
-            far_specs.append((0, m, k, si, runs[0][0]))
-        else:
-            far_specs.append((1, m, k, si, sum(g.size for g in far_gidx)))
-            far_gidx.append(_expand_runs(runs))
-        far_chunks.append(np.ascontiguousarray(panel, dtype=np.float64)
-                          .ravel())
+            o_off += m
+    far_arena, far_specs = _panels_2d(
+        [e for idx, e in enumerate(far) if idx not in stacked], cds.far_buf,
+        far_gidx, g_off)
 
     # ---- tree sweeps: shape buckets, one stacked GEMM each ---------------
-    up_specs, up_gidx, up_own, up_level_sizes, up_chunks = [], [], [], [], []
+    # Every basis generator sits in exactly one bucket, so the stacks fill
+    # a prefix of one basis-sized arena, gathered straight into place.
+    # G is stored (batch, cols, r); GT is its transpose view at load —
+    # exactly how emit.py shares the stack.
+    up_arena = np.empty(cds.basis_buf.size)
+    up_fill = 0
+
+    def stack(bucket):
+        nonlocal up_fill
+        rows, cols = bucket.shape
+        n = bucket.batch * rows * cols
+        G = bucket.gather(cds.basis_buf, out=up_arena[up_fill:up_fill + n])
+        up_fill += n
+        return G
+
+    up_levels, _ = _batched_tree_tables(cds, toff, stack=stack)
+    up_arena = up_arena[:up_fill]
+    up_specs, up_gidx, up_own, up_level_sizes = [], [], [], []
+    g_off = o_off = 0
     for level in up_levels:
         up_level_sizes.append(len(level))
         for GT, gather, own, from_w in level:
             batch, r, cols = GT.shape
-            up_specs.append((batch, r, cols, sum(g.size for g in up_gidx),
-                             sum(o.size for o in up_own), int(from_w)))
+            up_specs.append((batch, r, cols, g_off, o_off, int(from_w)))
             up_gidx.append(gather.ravel())
             up_own.append(own)
-            # Store G (batch, cols, r) contiguously; GT is its transpose
-            # view at load — exactly how emit.py shares the stack.
-            up_chunks.append(np.ascontiguousarray(
-                GT.transpose(0, 2, 1), dtype=np.float64).ravel())
+            g_off += gather.size
+            o_off += own.size
 
     def _cat_i(parts):
-        return (np.concatenate(parts).astype(np.int64)
+        return (np.concatenate(parts).astype(np.int64, copy=False)
                 if parts else np.empty(0, dtype=np.int64))
-
-    def _cat_f(parts):
-        return (np.concatenate(parts) if parts
-                else np.empty(0, dtype=np.float64))
 
     def _spec(rows, cols):
         return (np.asarray(rows, dtype=np.int64) if rows
@@ -440,18 +466,18 @@ def build_artifact(cds, *, backend: str | None = None,
     tables = {
         "near_specs": _spec(near_specs, 5),
         "near_gidx": _cat_i(near_gidx),
-        "near_arena": _cat_f(near_chunks),
+        "near_arena": near_arena,
         "far_specs": _spec(far_specs, 5),
         "far_gidx": _cat_i(far_gidx),
-        "far_arena": _cat_f(far_chunks),
+        "far_arena": far_arena,
         "fstack_specs": _spec(fstack_specs, 5),
         "fstack_orows": _cat_i(fstack_orows),
-        "fstack_arena": _cat_f(fstack_chunks),
+        "fstack_arena": fstack_arena,
         "up_specs": _spec(up_specs, 6),
         "up_gidx": _cat_i(up_gidx),
         "up_own": _cat_i(up_own),
         "up_level_sizes": np.asarray(up_level_sizes, dtype=np.int64),
-        "up_arena": _cat_f(up_chunks),
+        "up_arena": up_arena,
     }
     counts = {
         "near_panels": len(near_specs),
@@ -683,16 +709,28 @@ def _build_workspace(plan: _Plan, q: int) -> _Workspace:
 
 class _Runtime:
     """Shared mutable runtime of a CompiledEvaluator (survives
-    ``dataclasses.replace``, so q_chunk overrides never recompile)."""
+    ``dataclasses.replace``, so q_chunk overrides never recompile).
 
-    __slots__ = ("plan", "fn", "workspaces", "lock", "calls")
+    ``workspaces`` maps an RHS width to a free list: a call checks one
+    workspace out under ``lock`` and returns it afterwards, so
+    concurrent callers at one width never share buffers (a second
+    caller builds its own; the list then keeps both for reuse).
+    ``batched`` is the row-panel evaluator wide panels delegate to,
+    resolved from the owning HMatrix on the first wide panel.
+    """
 
-    def __init__(self, plan, fn):
+    __slots__ = ("plan", "fn", "workspaces", "lock", "calls", "owner",
+                 "cds", "batched")
+
+    def __init__(self, plan, fn, owner, cds):
         self.plan = plan
         self.fn = fn
-        self.workspaces: dict[int, _Workspace] = {}
+        self.workspaces: dict[int, list[_Workspace]] = {}  # guarded-by: self.lock
         self.lock = make_lock("_Runtime.lock")
         self.calls = 0  # guarded-by: self.lock
+        self.owner = owner
+        self.cds = cds
+        self.batched: GeneratedEvaluator | None = None
 
 
 @dataclass
@@ -701,19 +739,25 @@ class CompiledEvaluator:
 
     Same call contract as :class:`~repro.codegen.emit.GeneratedEvaluator`
     (row order = tree order; :meth:`HMatrix.matmul` applies the
-    permutation). Narrow panels (<= ``narrow_q`` columns) run the fused
-    driver; wider panels delegate to ``batched`` — structurally the
-    same schedule, so results are bit-identical either way.
+    permutation). Narrow panels (<= :data:`NARROW_Q_MAX` columns) run the
+    fused driver; wider panels delegate to :attr:`batched` — structurally
+    the same schedule, so results are bit-identical either way.
+
+    ``owner`` is the HMatrix the artifact was compiled for. It is only
+    held weakly, so the evaluator attached to it forms no reference
+    cycle; ``dataclasses.replace`` copies share the runtime instead.
     """
 
     artifact: CompiledArtifact
-    batched: GeneratedEvaluator
+    owner: InitVar[HMatrix | None] = None
     q_chunk: int | None = None
     name: str = "hmatmul_compiled"
     _rt: _Runtime | None = field(default=None, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, owner):
         if self._rt is None:
+            if owner is None:
+                raise TypeError("CompiledEvaluator needs the owning HMatrix")
             plan = _Plan(self.artifact)
             backend = self.artifact.meta.get("backend", NUMPY_BACKEND)
             gather, scatter_add, scatter_set = _backend_impls(backend)
@@ -729,7 +773,8 @@ class CompiledEvaluator:
             code = compile(source, f"<matrox-compiled:{self.name}>", "exec")
             exec(code, env)
             fname = self.artifact.meta.get("name", self.name)
-            self._rt = _Runtime(plan, env[fname])
+            self._rt = _Runtime(plan, env[fname], weakref.ref(owner),
+                                owner.cds)
 
     @property
     def source(self) -> str:
@@ -740,23 +785,19 @@ class CompiledEvaluator:
         return self.artifact.meta.get("backend", NUMPY_BACKEND)
 
     @property
-    def decision(self):
-        return self.batched.decision
+    def batched(self) -> GeneratedEvaluator:
+        """The row-panel evaluator wide panels delegate to.
 
-    @property
-    def cds(self):
-        return self.batched.cds
-
-    def _workspace(self, q: int) -> _Workspace:
+        Built on the first wide panel, not with the artifact: it is the
+        owning HMatrix's own (lazy) evaluator, or a fresh one over the
+        same CDS once that HMatrix is gone.
+        """
         rt = self._rt
-        ws = rt.workspaces.get(q)
-        if ws is None:
-            with rt.lock:
-                ws = rt.workspaces.get(q)
-                if ws is None:
-                    ws = _build_workspace(rt.plan, q)
-                    rt.workspaces[q] = ws
-        return ws
+        if rt.batched is None:
+            owner = rt.owner()
+            rt.batched = (owner.batched_evaluator if owner is not None
+                          else emit.generate_batched_evaluator(rt.cds))
+        return rt.batched
 
     def __call__(self, W: np.ndarray, pool=None) -> np.ndarray:
         """Evaluate ``Y = K~ W`` (tree order). W: (N, Q) or (N,)."""
@@ -764,55 +805,68 @@ class CompiledEvaluator:
         squeeze = W.ndim == 1
         if squeeze:
             W = W[:, None]
-        n = self._rt.plan.dim
+        rt = self._rt
+        n = rt.plan.dim
         if W.shape[0] != n:
             raise ValueError(f"W has {W.shape[0]} rows, HMatrix dim is {n}")
         q = W.shape[1]
         if q == 0 or q > NARROW_Q_MAX:
-            # Wide/degenerate panels: the batched evaluator's regime.
+            # Wide/degenerate panels: the row-panel evaluator's regime.
             b = self.batched
             if self.q_chunk is not None and b.q_chunk != self.q_chunk:
                 b = _dc_replace(b, q_chunk=self.q_chunk)
             Y = b(W, pool=pool)
         else:
+            with rt.lock:
+                free = rt.workspaces.get(q)
+                ws = free.pop() if free else None
+                rt.calls += 1
+            if ws is None:
+                ws = _build_workspace(rt.plan, q)
             Y = np.zeros_like(W)
-            self._rt.fn(W, Y, self._workspace(q))
-            with self._rt.lock:
-                self._rt.calls += 1
+            try:
+                rt.fn(W, Y, ws)
+            finally:
+                with rt.lock:
+                    rt.workspaces.setdefault(q, []).append(ws)
         return Y[:, 0] if squeeze else Y
 
 
 def evaluator_from_artifact(artifact: CompiledArtifact,
-                            batched: GeneratedEvaluator) -> CompiledEvaluator:
-    """Rehydrate a :class:`CompiledEvaluator` from a stored artifact.
+                            H) -> CompiledEvaluator:
+    """Rehydrate a :class:`CompiledEvaluator` for ``H`` from an artifact.
 
     Pure table binding — nothing is re-derived from the CDS, which is
     what makes a warm start a zero-recompile operation.
     """
-    if int(artifact.meta.get("dim", -1)) != int(batched.cds.dim):
+    if int(artifact.meta.get("dim", -1)) != int(H.dim):
         raise PlanStoreError(
             f"compiled artifact dim {artifact.meta.get('dim')!r} does not "
-            f"match the HMatrix dim {batched.cds.dim}")
+            f"match the HMatrix dim {H.dim}")
     return CompiledEvaluator(
-        artifact=artifact, batched=batched,
+        artifact=artifact, owner=H,
         name=str(artifact.meta.get("name", "hmatmul_compiled")))
 
 
 def compile_evaluator(H, *, backend: str | None = None,
-                      name: str = "hmatmul_compiled") -> CompiledEvaluator:
+                      name: str = "hmatmul_compiled",
+                      fingerprint: str | None = None) -> CompiledEvaluator:
     """Build a fused compiled evaluator for ``H`` (fresh tables).
 
     Raises ``ValueError`` when batch lowering was rejected for ``H``
-    (the fused plan is derived from the batched schedule).
+    (the fused plan is derived from the batched schedule). The row-panel
+    evaluator is not built here; ``fingerprint`` skips recomputing
+    ``hmatrix_fingerprint(H)`` when the caller already has it.
     """
-    batched = H.batched_evaluator
-    if batched is None:
+    if not H.evaluator.decision.batch:
         raise ValueError(
             "cannot compile: batch lowering was rejected for this HMatrix")
-    art = build_artifact(H.cds, backend=backend,
-                         fingerprint=hmatrix_fingerprint(H),
-                         host=host_signature(), name=name)
-    return evaluator_from_artifact(art, batched)
+    art = build_artifact(
+        H.cds, backend=backend,
+        fingerprint=(fingerprint if fingerprint is not None
+                     else hmatrix_fingerprint(H)),
+        host=host_signature(), name=name)
+    return evaluator_from_artifact(art, H)
 
 
 # --------------------------------------------------------------------------
@@ -830,8 +884,8 @@ class CompiledStats:
     ``store_corrupt``, ``no_batched_lowering``, ``build_error``,
     ``writeset_violation`` — the artifact failed the
     :func:`repro.analysis.codegen_check.verify_artifact` write-set
-    proof) to how many times ``order="compiled"`` degraded to the
-    batched path.
+    proof) to how many times a narrow product degraded to the row-panel
+    evaluator.
     """
 
     builds: int = 0
@@ -854,7 +908,7 @@ class CompiledCache:
     PlanStore ``"compiled"`` tier (fingerprint x host key) → a fresh
     build (persisted back when a store is attached). Every degradation
     is a *typed counter*, never an exception: ``evaluator_for`` returns
-    ``None`` and the caller runs ``order="batched"`` instead.
+    ``None`` and the caller runs the row-panel evaluator instead.
     """
 
     def __init__(self, store: PlanStore | None = None, *,
@@ -882,8 +936,7 @@ class CompiledCache:
                     self.stats.memory_hits += 1
                     self._persist(ev)
                 return ev
-            batched = H.batched_evaluator
-            if batched is None:
+            if not H.evaluator.decision.batch:
                 self._fallback("no_batched_lowering")
                 H.attach_compiled(None)
                 return None
@@ -914,7 +967,7 @@ class CompiledCache:
                     H.attach_compiled(None)
                     return None
                 try:
-                    ev = evaluator_from_artifact(art, batched)
+                    ev = evaluator_from_artifact(art, H)
                 except PlanStoreError:
                     self._fallback("artifact_mismatch")
                     H.attach_compiled(None)
@@ -924,7 +977,8 @@ class CompiledCache:
                 H.attach_compiled(ev)
                 return ev
             try:
-                ev = compile_evaluator(H, backend=self.backend)
+                ev = compile_evaluator(H, backend=self.backend,
+                                       fingerprint=fp)
             except Exception:  # noqa: BLE001 - serving degrades, never raises
                 self._fallback("build_error")
                 H.attach_compiled(None)
@@ -980,7 +1034,7 @@ _default_cache_lock = threading.Lock()
 
 
 def default_compiled_cache() -> CompiledCache:
-    """The process-global cache behind bare ``H.matmul(order="compiled")``.
+    """The process-global cache behind a bare narrow ``H.matmul(W)``.
 
     Memory-only (attach-to-H); Executors/Sessions with a PlanStore own a
     persistent :class:`CompiledCache` instead.
@@ -1000,19 +1054,9 @@ def reset_default_compiled_cache() -> None:
 
 
 # --------------------------------------------------------------------------
-# Registrations: PlanStore tier + autotune backend (one source of truth).
+# Registration: the PlanStore tier.
 # --------------------------------------------------------------------------
 
 register_tier(ArtifactTier(
     "compiled", save_compiled_artifact, load_compiled_artifact,
     version=COMPILED_FORMAT_VERSION, default_memory_entries=4))
-
-register_autotune_backend(AutotuneBackend(
-    name="compiled",
-    # Only a *distinct* candidate at narrow widths: wider panels
-    # delegate to batched, and a candidate whose trial is byte-for-byte
-    # another's would make the measured winner pure timing noise.
-    available=lambda ctx: (bool(ctx.get("has_batched", True))
-                           and int(ctx.get("bucket", 1)) <= NARROW_Q_MAX),
-    candidates=lambda ctx: [{"order": "compiled"}],
-))

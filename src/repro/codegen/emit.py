@@ -377,53 +377,78 @@ def _runs(segments: list[tuple[int, int]]):
 _PAD_LIMIT = 1.3
 
 
-def _row_panel_tables(pairs, row_range, col_range, buf, offsets):
-    """Row panels for one reduction loop: (panel, gather runs, K, si, ei).
+def _row_panel_layout(pairs, row_range, col_range, offsets):
+    """Where each generator lands in the row panels of one reduction loop.
 
     ``row_range``/``col_range`` map a node id to its ``[start, stop)`` rows
     in the output/operand panel; the generator of pair ``(i, j)`` is the
     ``(len(row_range(i)), len(col_range(j)))`` block stored row-major at
-    ``buf[offsets[(i, j)]:]`` (a CDS flat buffer). A single gather run
-    executes against a *view* of the operand; when the runs almost tile
-    their span, the panel is zero-padded over the holes to force that
-    case (``_PAD_LIMIT`` bounds the wasted flops).
+    ``buf[offsets[(i, j)]:]`` (a CDS flat buffer). One entry per output
+    node: ``(runs, k, si, ei, padded, blocks)`` — an ``(ei - si, k)``
+    panel multiplying the operand rows of ``runs``, and each block's
+    ``(column, width, buffer offset)``. A single gather run executes
+    against a *view* of the operand; when the runs almost tile their
+    span, the panel is zero-padded over the holes to force that case
+    (``_PAD_LIMIT`` bounds the wasted flops), so a padded panel must
+    start zeroed. Nothing is copied here: callers decide where the
+    panels live (:func:`_row_panels`, or one arena in the compiled tier).
     """
     by_row: dict[int, list[int]] = {}
     for (i, j) in pairs:
         by_row.setdefault(i, []).append(j)
-    table = []
+    layout = []
     for i, js in by_row.items():
         si, ei = row_range(i)
-        m = ei - si
         cols = sorted(((col_range(j), j) for j in js),
                       key=lambda c: c[0][0])
         runs = _runs([seg for seg, _j in cols])
         k = sum(b - a for a, b in runs)
         lo, hi = runs[0][0], runs[-1][1]
-        if len(runs) > 1 and hi - lo <= _PAD_LIMIT * k:
-            # Padded: each block sits at its operand offset, holes stay 0.
-            panel = np.zeros((m, hi - lo))
-            base = lo
+        padded = len(runs) > 1 and hi - lo <= _PAD_LIMIT * k
+        if padded:
+            # Each block sits at its operand offset, holes stay 0.
             runs, k = ((lo, hi),), hi - lo
-        else:
-            panel = np.empty((m, k))
-            base = None
-        col = 0
+        blocks, col = [], 0
         for (a, b), j in cols:
-            n = b - a
-            c0 = col if base is None else a - base
-            off = offsets[(i, j)]
-            panel[:, c0:c0 + n] = buf[off:off + m * n].reshape(m, n)
-            col += n
+            blocks.append((a - lo if padded else col, b - a, offsets[(i, j)]))
+            col += b - a
+        layout.append((runs, k, si, ei, padded, blocks))
+    return layout
+
+
+def _fill_panel(panel, blocks, buf) -> None:
+    """Copy a panel's generators from the flat buffer into ``panel``."""
+    m = panel.shape[0]
+    for c0, n, off in blocks:
+        panel[:, c0:c0 + n] = buf[off:off + m * n].reshape(m, n)
+
+
+def _row_panels(layout, buf):
+    """Materialize a layout as row panels: (panel, runs, K, si, ei)."""
+    table = []
+    for runs, k, si, ei, padded, blocks in layout:
+        panel = (np.zeros if padded else np.empty)((ei - si, k))
+        _fill_panel(panel, blocks, buf)
         table.append((panel, runs, k, si, ei))
     return tuple(table)
 
 
-def _batched_near_tables(cds: CDSMatrix):
+def _row_panel_tables(pairs, row_range, col_range, buf, offsets):
+    """Row panels for one reduction loop: (panel, gather runs, K, si, ei)
+    (see :func:`_row_panel_layout`)."""
+    return _row_panels(
+        _row_panel_layout(pairs, row_range, col_range, offsets), buf)
+
+
+def _near_layout(cds: CDSMatrix):
     t = cds.tree
     rng = list(zip(t.start.tolist(), t.stop.tolist()))
-    return _row_panel_tables(cds.near_visit_order(), rng.__getitem__,
-                             rng.__getitem__, cds.near_buf, cds.near_offset)
+    return _row_panel_layout(cds.near_visit_order(), rng.__getitem__,
+                             rng.__getitem__, cds.near_offset)
+
+
+def _batched_near_tables(cds: CDSMatrix):
+    return _row_panels(_near_layout(cds), cds.near_buf)
 
 
 def _rank_offsets(cds: CDSMatrix) -> tuple[dict[int, int], int]:
@@ -436,8 +461,12 @@ def _rank_offsets(cds: CDSMatrix) -> tuple[dict[int, int], int]:
     return off, total
 
 
-def _batched_tree_tables(cds: CDSMatrix, toff: dict[int, int]):
+def _batched_tree_tables(cds: CDSMatrix, toff: dict[int, int],
+                         stack=None):
     """Upward/downward level tables over the basis shape buckets.
+
+    ``stack(bucket)`` returns the bucket's ``(batch, rows, cols)``
+    generator stack (default: a fresh gather from the basis buffer).
 
     Upward entries are ``(G^T stack, gather, t_rows, from_w)`` executing
     ``T[t_rows] = (G^T @ src[gather]).reshape(-1, Q)``; downward entries
@@ -453,7 +482,8 @@ def _batched_tree_tables(cds: CDSMatrix, toff: dict[int, int]):
     for level in cds.basis_level_buckets():
         ups, downs = [], []
         for bucket in level:
-            G = bucket.gather(cds.basis_buf)
+            G = (bucket.gather(cds.basis_buf) if stack is None
+                 else stack(bucket))
             # Transposed *view* of the same stack (np.matmul lowers it to
             # BLAS transpose flags) — the generators are stored once.
             GT = G.transpose(0, 2, 1)
@@ -486,11 +516,15 @@ def _batched_tree_tables(cds: CDSMatrix, toff: dict[int, int]):
     return tuple(up_levels), tuple(reversed(down_levels))
 
 
-def _batched_far_tables(cds: CDSMatrix, toff: dict[int, int]):
+def _far_layout(cds: CDSMatrix, toff: dict[int, int]):
     srank = cds.factors.srank
     rng = {v: (o, o + srank(v)) for v, o in toff.items()}
-    return _row_panel_tables(cds.far_visit_order(), rng.__getitem__,
-                             rng.__getitem__, cds.far_buf, cds.far_offset)
+    return _row_panel_layout(cds.far_visit_order(), rng.__getitem__,
+                             rng.__getitem__, cds.far_offset)
+
+
+def _batched_far_tables(cds: CDSMatrix, toff: dict[int, int]):
+    return _row_panels(_far_layout(cds, toff), cds.far_buf)
 
 
 _BATCHED_SOURCE = '''\

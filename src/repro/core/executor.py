@@ -9,9 +9,12 @@ All execution knobs travel as one :class:`~repro.api.policy.ExecutionPolicy`
 (order, num_threads, q_chunk). There is a single documented default,
 :data:`~repro.api.policy.DEFAULT_POLICY` (``order="batched"``): the bucketed
 batched-GEMM engine (one stacked GEMM per CDS shape bucket; see DESIGN.md
-section 3), falling back to the thread-pool per-block code when the cost
-model rejected batch lowering. :func:`matmul_many` streams wide or
-many-panel right-hand sides through cache-sized column chunks.
+section 3), which runs panels of at most
+:data:`~repro.api.policy.NARROW_Q_MAX` columns on the fused frozen-table
+driver and wider ones on the row-panel evaluator, and falls back to the
+thread-pool per-block code when the cost model rejected batch lowering.
+:func:`matmul_many` streams wide or many-panel right-hand sides through
+cache-sized column chunks.
 
 ``order="auto"`` resolves through the profile-guided autotuner
 (:mod:`repro.tuning`, DESIGN.md section 9) before any evaluator runs: an
@@ -32,6 +35,7 @@ from repro.api.policy import (
     DEFAULT_Q_CHUNK,
     ExecutionPolicy,
     resolve_policy,
+    runs_fused,
 )
 from repro.core.hmatrix import HMatrix
 
@@ -151,7 +155,7 @@ class Executor:
         return self._compiled_cache
 
     def compiled_stats(self) -> dict:
-        """Compiled-tier counters (empty until order="compiled" runs)."""
+        """Compiled-tier counters (empty until a product resolves one)."""
         return (self._compiled_cache.stats_dict()
                 if self._compiled_cache is not None else {})
 
@@ -226,23 +230,20 @@ class Executor:
         if pol.backend == "process" and pol.order != "original":
             # The process engine implements the batched lowering only;
             # order="original" explicitly asks for the per-block code, so
-            # it wins over the backend and runs in-process (and the
-            # compiled tier is an in-process fusion of that same
-            # lowering, so it maps to the engine's batched order).
-            engine_order = "batched" if pol.order == "compiled" else pol.order
-            return self.engine_for(H, pol).matmul(W, order=engine_order)
-        if pol.order == "compiled":
-            # Resolve through this executor's cache (store-backed when
-            # available) so the evaluator attached to H is the persisted
-            # one; H.matmul then dispatches to it — or degrades to the
-            # batched path when resolution returned None.
-            self.compiled_cache.evaluator_for(H)
+            # it wins over the backend and runs in-process.
+            return self.engine_for(H, pol).matmul(W, order=pol.order)
+        # A panel that runs fused resolves its driver through this
+        # executor's cache (store-backed when available), so the
+        # evaluator attached to H is the persisted one. Wider panels
+        # never create the cache (nor import the compiled tier).
+        q = W.shape[1] if getattr(W, "ndim", 1) == 2 else 1
+        cache = self.compiled_cache if runs_fused(q, pol.q_chunk) else None
         if self._pool is None and pol.num_threads and pol.num_threads > 1:
             # Per-call thread request on a pool-less executor: honor it
             # with a short-lived pool rather than silently running serial.
-            return H.matmul(W, policy=pol)
+            return H.matmul(W, policy=pol, compiled_cache=cache)
         return H.matmul(W, pool=self._pool, order=pol.order,
-                        q_chunk=pol.q_chunk)
+                        q_chunk=pol.q_chunk, compiled_cache=cache)
 
     def matmul_many(self, H: HMatrix, W, order: str | None = None,
                     q_chunk: int | None = None,

@@ -10,14 +10,18 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.analysis.structure_sets import BlockSet, CoarsenSet
-from repro.api.policy import ExecutionPolicy, resolve_policy
+from repro.api.policy import ExecutionPolicy, resolve_policy, runs_fused
 from repro.codegen.emit import GeneratedEvaluator
 from repro.compression.factors import Factors
 from repro.storage.cds import CDSMatrix
+
+if TYPE_CHECKING:  # annotation-only: the compiled tier imports core lazily
+    from repro.codegen.compiled import CompiledCache
 
 
 @dataclass
@@ -68,10 +72,12 @@ class HMatrix:
     # ------------------------------------------------------------- evaluation
     @property
     def batched_evaluator(self) -> GeneratedEvaluator | None:
-        """The bucketed batched-GEMM evaluator, or None when the cost model
-        rejected batch lowering (low bucket occupancy). Compiled lazily on
-        first use and cached — the inspector already paid for the structure
-        analysis, so this is just table gathering + one ``compile``.
+        """The row-panel batched-GEMM evaluator, or None when the cost
+        model rejected batch lowering (low bucket occupancy). Built
+        lazily on the first product wider than
+        :data:`~repro.api.policy.NARROW_Q_MAX` and cached — the inspector
+        already paid for the structure analysis, so this is just table
+        gathering + one ``compile``.
         """
         if not self._batched_built:
             self._batched_built = True
@@ -80,45 +86,58 @@ class HMatrix:
                 self._batched = generate_batched_evaluator(self.cds)
         return self._batched
 
-    @property
-    def compiled_evaluator(self):
-        """The fused compiled evaluator, or None when unavailable.
-
-        Resolved (and attached) through the process-global
-        :class:`~repro.codegen.compiled.CompiledCache` on first use;
-        Executors/Sessions resolve through their own store-backed cache
-        instead, which attaches here too. ``None`` means
-        ``order="compiled"`` degrades to the batched path.
-        """
-        if not self._compiled_built:
-            from repro.codegen.compiled import default_compiled_cache
-            default_compiled_cache().evaluator_for(self)
-        return self._compiled
-
     def attach_compiled(self, ev) -> None:
-        """Attach a resolved compiled evaluator (or None = unavailable)."""
+        """Attach the fused evaluator a
+        :class:`~repro.codegen.compiled.CompiledCache` resolved for this
+        matrix (None = unavailable: narrow panels run the row-panel
+        evaluator)."""
         self._compiled = ev
         self._compiled_built = True
 
+    def _batched_driver(self, q: int, q_chunk: int | None,
+                        compiled_cache: CompiledCache | None = None):
+        """The evaluator the batched order runs a ``q``-column panel on.
+
+        A narrow panel that runs in one pass takes the fused driver,
+        resolved through ``compiled_cache`` (the process-global cache
+        when None); anything else, or an unavailable fused driver (a
+        typed fallback counter in the cache), takes the row-panel
+        evaluator, or the per-block code when batch lowering was
+        rejected. Each driver's tables are built on the first product
+        that needs them. All three are byte-identical.
+        """
+        if runs_fused(q, q_chunk):
+            if compiled_cache is None:
+                from repro.codegen.compiled import default_compiled_cache
+                compiled_cache = default_compiled_cache()
+            ev = compiled_cache.evaluator_for(self)
+            if ev is not None:
+                return ev
+        batched = self.batched_evaluator
+        return batched if batched is not None else self.evaluator
+
     def matmul(self, W: np.ndarray, pool=None, order: str | None = None,
                q_chunk: int | None = None,
-               policy: "ExecutionPolicy | None" = None) -> np.ndarray:
+               policy: "ExecutionPolicy | None" = None,
+               compiled_cache: CompiledCache | None = None) -> np.ndarray:
         """``Y = K~ @ W`` with the generated specialized code.
 
         Knobs resolve through one :class:`~repro.api.policy.ExecutionPolicy`
         (explicit ``order``/``q_chunk`` win over ``policy``, which wins over
         :data:`~repro.api.policy.DEFAULT_POLICY`). ``order="batched"`` (the
         shared default) treats W rows as being in the user's input point
-        order and executes through the bucketed batched-GEMM engine, falling
-        back to the per-block code (with ``pool``) when the cost model
-        rejected batch lowering; ``order="compiled"`` runs the fused
-        compiled executor (bit-identical; degrades to the batched path
-        when unavailable); ``order="original"`` forces the per-block
-        code; ``order="tree"`` skips both permutations (internal/benchmark
-        use). ``q_chunk`` overrides the selected evaluator's streaming panel
-        width (the single chunking layer — callers never chunk on top of
-        it). When no ``pool`` is given and the policy asks for threads, a
-        short-lived pool is created for this call.
+        order and picks its driver from the panel width: the fused
+        frozen-table driver up to :data:`~repro.api.policy.NARROW_Q_MAX`
+        columns (resolved through ``compiled_cache``, default the
+        process-global one), the row-panel evaluator beyond, and the
+        per-block code (with ``pool``) when the cost model rejected batch
+        lowering. ``order="original"`` forces the per-block code;
+        ``order="tree"`` runs it without either permutation
+        (internal/benchmark use). ``q_chunk`` overrides the row-panel
+        evaluator's streaming panel width (the single chunking layer —
+        callers never chunk on top of it). When no ``pool`` is given and
+        the policy asks for threads, a short-lived pool is created for
+        this call.
         """
         pol = resolve_policy(policy, order=order, q_chunk=q_chunk)
         if pol.is_auto:
@@ -142,7 +161,8 @@ class HMatrix:
                 return engine.matmul(W, order=order)
         if pool is None and pol.num_threads and pol.num_threads > 1:
             with ThreadPoolExecutor(max_workers=pol.num_threads) as tmp:
-                return self.matmul(W, pool=tmp, order=order, q_chunk=q_chunk)
+                return self.matmul(W, pool=tmp, order=order, q_chunk=q_chunk,
+                                   compiled_cache=compiled_cache)
         W = np.ascontiguousarray(W, dtype=np.float64)
         squeeze = W.ndim == 1
         if squeeze:
@@ -152,24 +172,10 @@ class HMatrix:
                 f"W has {W.shape[0]} rows but the HMatrix dimension is "
                 f"{self.dim}"
             )
-        if order == "tree":
+        if order == "batched":
+            ev = self._batched_driver(W.shape[1], q_chunk, compiled_cache)
+        else:  # "original" / "tree": the per-block code
             ev = self.evaluator
-        elif order in ("original", "batched", "compiled"):
-            # Degradation chain: compiled -> batched -> per-block code.
-            # Each step preserves results bit-for-bit, so asking for a
-            # tier that is unavailable is a performance event (counted
-            # by the CompiledCache / lowering decision), never an error.
-            ev = self.evaluator
-            if order == "compiled" and self.compiled_evaluator is not None:
-                ev = self.compiled_evaluator
-            elif (order in ("batched", "compiled")
-                    and self.batched_evaluator is not None):
-                ev = self.batched_evaluator
-        else:
-            raise ValueError(
-                f"order must be 'original', 'tree', 'batched', or "
-                f"'compiled', got {order!r}"
-            )
         if q_chunk is not None and ev.q_chunk != q_chunk:
             ev = replace(ev, q_chunk=q_chunk)
         if order == "tree":

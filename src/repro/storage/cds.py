@@ -50,11 +50,19 @@ class ShapeBucket:
     def batch(self) -> int:
         return len(self.keys)
 
-    def gather(self, buf: np.ndarray) -> np.ndarray:
-        """Stack the bucket's generators as one ``(batch, rows, cols)`` array."""
+    def gather(self, buf: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """Stack the bucket's generators as one ``(batch, rows, cols)`` array
+        (written into ``out``, a contiguous array of that many values, when
+        given)."""
         rows, cols = self.shape
         idx = self.offsets[:, None] + np.arange(rows * cols)
-        return buf[idx].reshape(self.batch, rows, cols)
+        if out is None:
+            return buf[idx].reshape(self.batch, rows, cols)
+        # mode="clip" lets take() write straight into ``out`` (the default
+        # "raise" mode buffers it); the offsets are in range by layout.
+        np.take(buf, idx, out=out.reshape(idx.shape), mode="clip")
+        return out.reshape(self.batch, rows, cols)
 
 
 @dataclass

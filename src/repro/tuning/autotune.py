@@ -33,7 +33,6 @@ different host signature, or different pinned knobs.
 from __future__ import annotations
 
 import contextlib
-import importlib
 import threading
 import time
 import weakref
@@ -110,11 +109,6 @@ class AutotuneBackend:
 
 _BACKEND_REGISTRY: dict[str, AutotuneBackend] = {}
 
-#: Backends living in modules this package must not import eagerly
-#: (repro.codegen.compiled registers itself on import); resolved lazily
-#: the first time the registry is enumerated.
-_BACKEND_AUTOLOAD = {"compiled": "repro.codegen.compiled"}
-
 
 def register_autotune_backend(backend: AutotuneBackend) -> AutotuneBackend:
     """Register (or replace) a candidate backend by name."""
@@ -126,11 +120,7 @@ def register_autotune_backend(backend: AutotuneBackend) -> AutotuneBackend:
 
 
 def autotune_backends() -> tuple[AutotuneBackend, ...]:
-    """Every registered backend, registration-ordered (after autoload)."""
-    for name, module in _BACKEND_AUTOLOAD.items():
-        if name not in _BACKEND_REGISTRY:
-            with contextlib.suppress(ImportError):  # optional module
-                importlib.import_module(module)
+    """Every registered backend, registration-ordered."""
     return tuple(_BACKEND_REGISTRY.values())
 
 

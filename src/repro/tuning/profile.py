@@ -108,11 +108,12 @@ def hmatrix_fingerprint(H) -> str:
         f"far={H.factors.htree.num_far()}",
         f"decision={decision.block_near:d}{decision.block_far:d}"
         f"{decision.coarsen:d}{decision.peel_root:d}{decision.batch:d}",
-        f"sranks={zlib.crc32(np.ascontiguousarray(H.sranks).tobytes()):08x}",
+        f"sranks={zlib.crc32(np.ascontiguousarray(H.sranks)):08x}",
     ]
     for name in ("basis_buf", "near_buf", "far_buf"):
+        # CRC straight over the array's buffer: no bytes copy first.
         buf = np.ascontiguousarray(getattr(cds, name))
-        parts.append(f"{name}={len(buf)}:{zlib.crc32(buf.tobytes()):08x}")
+        parts.append(f"{name}={len(buf)}:{zlib.crc32(buf):08x}")
     for k in sorted(H.metadata):
         v = H.metadata[k]
         if isinstance(v, (str, int, float, bool)):

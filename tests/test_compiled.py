@@ -1,11 +1,14 @@
 """Compiled kernel tier: bit-identity, fallbacks, store round-trips.
 
-The acceptance bar for ``order="compiled"``: byte-identical to
-``order="batched"`` across the equivalence matrix ({float32, float64} x
-{single panel, matmul_many, chunked multi-RHS} x {serial, KernelService
-micro-batching}), typed degradation (host mismatch, missing numba,
-version skew — a counter, never an exception), and a compiled-tier
-artifact that quarantines on tamper and rebuilds exactly once.
+The acceptance bar for the fused frozen-table driver, which the default
+``order="batched"`` runs for panels of at most ``NARROW_Q_MAX`` columns:
+byte-identical to the row-panel evaluator across the equivalence matrix
+({float32, float64} x {single panel, matmul_many, chunked multi-RHS} x
+{serial, KernelService micro-batching}), with ``order="compiled"`` a
+spelling of the same path; typed degradation (host mismatch, missing
+numba, version skew — a counter, never an exception); a compiled-tier
+artifact that quarantines on tamper and rebuilds exactly once; and
+workspaces that concurrent callers never share.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import importlib.machinery
 import json
 import sys
+import threading
 import types
 from dataclasses import replace
 
@@ -62,45 +66,70 @@ def _bytes(a):
     return np.ascontiguousarray(a).tobytes()
 
 
+def row_panel(H, W, q_chunk=None):
+    """``H @ W`` through the row-panel evaluator called directly (the
+    driver every width ran on before narrow panels went fused)."""
+    ev = H.batched_evaluator
+    if q_chunk is not None:
+        ev = replace(ev, q_chunk=q_chunk)
+    perm = H.tree.perm
+    Yt = ev(np.ascontiguousarray(W, dtype=np.float64)[perm])
+    Y = np.empty_like(Yt)
+    Y[perm] = Yt
+    return Y
+
+
+#: Widths around the narrow/wide boundary, plus the widths the
+#: equivalence matrix has always swept.
+EDGE_Q = sorted({1, 3, NARROW_Q_MAX, NARROW_Q_MAX + 1, 8, 9, 40})
+
+
 # --------------------------------------------------------------------------
-# Equivalence matrix: compiled is byte-identical to batched.
+# Equivalence matrix: the default order is byte-identical to the row-panel
+# evaluator at every width, and "compiled" is a spelling of it.
 # --------------------------------------------------------------------------
 
 class TestEquivalenceMatrix:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("q", [None, 1, 3, NARROW_Q_MAX,
-                                   NARROW_Q_MAX + 1, 40])
+    @pytest.mark.parametrize("q", [None, *EDGE_Q])
     def test_single_panel(self, hmatrix_2d, dtype, q):
         """One panel per dtype, narrow and wide (wide exercises the
-        batched-delegation path)."""
+        row-panel path)."""
         H = fresh(hmatrix_2d)
         g = np.random.default_rng(5)
         shape = (H.dim,) if q is None else (H.dim, q)
         W = (g.random(shape) * 2 - 1).astype(dtype)
-        Yb = H.matmul(W, order="batched")
+        Yr = row_panel(H, W)
+        Yd = H.matmul(W)
         Yc = H.matmul(W, order="compiled")
-        assert Yc.shape == Yb.shape
-        assert _bytes(Yc) == _bytes(Yb)
+        assert Yd.shape == Yc.shape == Yr.shape
+        assert _bytes(Yd) == _bytes(Yr)
+        assert _bytes(Yc) == _bytes(Yr)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matmul_many_stream(self, hmatrix_2d, dtype):
         H = fresh(hmatrix_2d)
         g = np.random.default_rng(6)
-        panels = [g.random((H.dim, q)).astype(dtype) for q in (1, 4, 2)]
-        Yb = matmul_many(H, panels, order="batched")
+        panels = [g.random((H.dim, q)).astype(dtype) for q in (1, 4, 2, 5)]
+        Yd = matmul_many(H, panels)
         Yc = matmul_many(H, panels, order="compiled")
-        for yb, yc in zip(Yb, Yc, strict=True):
-            assert _bytes(yc) == _bytes(yb)
+        for w, yd, yc in zip(panels, Yd, Yc, strict=True):
+            assert _bytes(yd) == _bytes(row_panel(H, w))
+            assert _bytes(yc) == _bytes(yd)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_chunked_multi_rhs(self, hmatrix_2d, dtype):
-        """Wide panel under an explicit q_chunk: the compiled evaluator
-        delegates to the batched one with the same streaming chunk."""
+        """An explicit q_chunk is honored exactly: a wide panel streams
+        through the row-panel evaluator in that chunk, and so does a
+        narrow panel wider than the chunk (the fused driver runs one
+        pass only)."""
         H = fresh(hmatrix_2d)
-        W = np.random.default_rng(7).random((H.dim, 40)).astype(dtype)
-        Yb = H.matmul(W, order="batched", q_chunk=16)
-        Yc = H.matmul(W, order="compiled", q_chunk=16)
-        assert _bytes(Yc) == _bytes(Yb)
+        g = np.random.default_rng(7)
+        for q, chunk in ((40, 16), (3, 2)):
+            W = g.random((H.dim, q)).astype(dtype)
+            want = _bytes(row_panel(H, W, q_chunk=chunk))
+            assert _bytes(H.matmul(W, q_chunk=chunk)) == want
+            assert _bytes(H.matmul(W, order="compiled", q_chunk=chunk)) == want
 
     def test_via_kernelservice_microbatching(self, points_2d,
                                              gaussian_kernel):
@@ -108,7 +137,8 @@ class TestEquivalenceMatrix:
 
         max_batch equals the number of submissions and the linger is
         generous, so both services deterministically merge all requests
-        into one stacked matmul (asserted via max_batch_observed).
+        into one stacked matmul (asserted via max_batch_observed), whose
+        columns are the row-panel evaluator's on the merged panel.
         """
         g = np.random.default_rng(8)
         panels = [g.random((len(points_2d), q)) for q in (1, 2, 1)]
@@ -125,9 +155,15 @@ class TestEquivalenceMatrix:
                 assert svc.stats()["max_batch_observed"] == len(panels)
             return out
 
-        for yb, yc in zip(serve("batched"), serve("compiled"),
-                          strict=True):
-            assert _bytes(yc) == _bytes(yb)
+        with Session(plan=PLAN) as session:
+            H = session.inspect(points_2d, kernel=gaussian_kernel)
+        merged = row_panel(H, np.hstack(panels))
+        want = np.split(merged, np.cumsum([w.shape[1] for w in panels])[:-1],
+                        axis=1)
+        for yr, yb, yc in zip(want, serve("batched"), serve("compiled"),
+                              strict=True):
+            assert _bytes(yb) == _bytes(yr)
+            assert _bytes(yc) == _bytes(yr)
 
     def test_delegation_threshold(self, hmatrix_2d):
         """Panels wider than NARROW_Q_MAX run through the batched
@@ -165,8 +201,7 @@ class TestArtifactCodec:
         ev = compile_evaluator(H)
         path = tmp_path / "art.npz"
         save_compiled_artifact(ev.artifact, path)
-        ev2 = C.evaluator_from_artifact(load_compiled_artifact(path),
-                                        H.batched_evaluator)
+        ev2 = C.evaluator_from_artifact(load_compiled_artifact(path), H)
         W = np.random.default_rng(0).random((H.dim, 2))
         perm = H.tree.perm
         assert _bytes(ev2(W[perm])) == _bytes(ev(W[perm]))
@@ -242,13 +277,16 @@ class TestTypedFallbacks:
             _bytes(H.matmul(W, order="batched"))
 
     def test_no_batched_lowering_degrades(self, hmatrix_2d):
-        H = replace(fresh(hmatrix_2d), _batched=None, _batched_built=True)
+        H = fresh(hmatrix_2d)
+        rejected = replace(H.evaluator.decision, batch=False)
+        H = replace(H, evaluator=replace(H.evaluator, decision=rejected))
         cache = CompiledCache()
         assert cache.evaluator_for(H) is None
         assert cache.stats.fallbacks == {"no_batched_lowering": 1}
         W = np.random.default_rng(2).random((H.dim, 3))
         assert _bytes(H.matmul(W, order="compiled")) == \
             _bytes(H.matmul(W, order="original"))
+        assert _bytes(H.matmul(W)) == _bytes(H.matmul(W, order="original"))
 
     def test_tamper_quarantines_and_rebuilds_exactly_once(self, hmatrix_2d,
                                                           tmp_path):
@@ -425,39 +463,145 @@ class TestHostSignature:
 
 
 # --------------------------------------------------------------------------
-# Autotune registry: {original, batched, process, compiled} from one
-# source of truth.
+# Autotune registry: {original, batched, process} from one source of
+# truth. "compiled" is no candidate: it is the same program as "batched".
 # --------------------------------------------------------------------------
 
 class TestAutotuneRegistry:
-    def test_backends_enumerate_all_four(self):
+    def test_backends_enumerate_without_compiled(self):
         names = {b.name for b in autotune_backends()}
-        assert names >= {"batched", "original", "process", "compiled"}
+        assert names >= {"batched", "original", "process"}
+        assert "compiled" not in names
 
-    def test_compiled_candidate_at_narrow_widths(self, hmatrix_2d):
+    def test_no_compiled_candidate_at_any_width(self, hmatrix_2d):
         tuner = Autotuner(reps=1, trial_cols=2)
         H = fresh(hmatrix_2d)
-        narrow = tuner.candidate_policies(H, 2)
-        assert {"order": "compiled"} in narrow
-        wide = tuner.candidate_policies(H, 512)
-        assert {"order": "compiled"} not in wide
+        for q in (1, 2, NARROW_Q_MAX, 512):
+            orders = {c.get("order") for c in tuner.candidate_policies(H, q)}
+            assert "compiled" not in orders
+            assert "batched" in orders
 
     def test_stats_report_registry(self, hmatrix_2d):
         tuner = Autotuner(reps=1, trial_cols=2)
         tuner.tune(fresh(hmatrix_2d), 2, ExecutionPolicy(order="auto"),
                    force=True)
         stats = tuner.stats_dict()
-        assert set(stats["backends"]) >= {"batched", "original", "process",
-                                          "compiled"}
+        assert set(stats["backends"]) >= {"batched", "original", "process"}
+        assert "compiled" not in stats["backends"]
 
-    def test_auto_ranks_compiled_and_stays_bit_identical(self, hmatrix_2d):
-        """A measured tune at a narrow width includes the compiled
-        candidate, and resolving auto adds zero perturbation."""
+    def test_auto_stays_bit_identical(self, hmatrix_2d):
+        """A measured tune at a narrow width ranks no compiled candidate,
+        and resolving auto adds zero perturbation."""
         tuner = Autotuner(reps=1, trial_cols=2)
         H = fresh(hmatrix_2d)
         prof = tuner.tune(H, 2, ExecutionPolicy(order="auto"), force=True)
-        assert {"order": "compiled"} in [c["policy"] for c in prof.candidates]
+        assert {"order": "compiled"} not in [c["policy"]
+                                             for c in prof.candidates]
         W = np.random.default_rng(3).random((H.dim, 2))
         pol = prof.best_policy()
         assert _bytes(H.matmul(W, policy=pol)) == \
             _bytes(H.matmul(W, order=pol.order))
+
+    def test_stored_compiled_profile_still_resolves(self, hmatrix_2d):
+        """A profile persisted when "compiled" was a candidate replays
+        as the default order."""
+        pol = ExecutionPolicy(order="compiled")
+        assert pol == ExecutionPolicy()
+        H = fresh(hmatrix_2d)
+        W = np.random.default_rng(4).random((H.dim, 1))
+        assert _bytes(H.matmul(W, policy=pol)) == _bytes(row_panel(H, W))
+
+
+# --------------------------------------------------------------------------
+# Width routing: each driver's tables are built by the first product that
+# needs them, and by no other.
+# --------------------------------------------------------------------------
+
+def _store_tiers(directory):
+    return {json.loads(m.read_text())["tier"]
+            for m in directory.glob("*.json")}
+
+
+class TestWidthRouting:
+    def test_wide_only_session_never_compiles(self, points_2d,
+                                              gaussian_kernel, tmp_path):
+        """Q=512 products run the row-panel evaluator: no fused artifact
+        is derived, verified or persisted."""
+        W = np.random.default_rng(20).random((len(points_2d), 512))
+        with Session(plan=PLAN, store=PlanStore(tmp_path)) as s:
+            H = s.inspect(points_2d, kernel=gaussian_kernel)
+            Y = s.matmul(H, W)
+            s.matmul(H, W)
+            info = s.cache_info()["compiled"]
+        assert info.get("builds", 0) == 0
+        assert info.get("store_puts", 0) == 0
+        assert not H._compiled_built
+        assert "compiled" not in _store_tiers(tmp_path)
+        assert _bytes(Y) == _bytes(row_panel(H, W))
+
+    def test_narrow_only_session_never_builds_row_panels(
+            self, points_2d, gaussian_kernel, tmp_path):
+        g = np.random.default_rng(21)
+        with Session(plan=PLAN, store=PlanStore(tmp_path)) as s:
+            H = s.inspect(points_2d, kernel=gaussian_kernel)
+            Ys = [(w, s.matmul(H, w)) for w in
+                  (g.random(H.dim), g.random((H.dim, NARROW_Q_MAX)))]
+            info = s.cache_info()["compiled"]
+        assert not H._batched_built
+        assert info["builds"] == 1 and info["store_puts"] == 1
+        assert "compiled" in _store_tiers(tmp_path)
+        for w, y in Ys:
+            assert _bytes(y) == _bytes(row_panel(H, w))
+
+    def test_degraded_fused_driver_counts_and_runs_row_panels(
+            self, hmatrix_2d, tmp_path):
+        """A store artifact for another host: the narrow product runs the
+        row-panel evaluator and the cache records why."""
+        store = PlanStore(tmp_path)
+        cache = CompiledCache(store=store)
+        _put_doctored(store, cache, fresh(hmatrix_2d),
+                      host={"cpus": 999, "blas": "x", "machine": "y"})
+        H = fresh(hmatrix_2d)
+        W = np.random.default_rng(22).random((H.dim, 1))
+        Y = H.matmul(W, compiled_cache=cache)
+        assert cache.stats.fallbacks == {"host_mismatch": 1}
+        assert H._batched_built
+        assert _bytes(Y) == _bytes(row_panel(H, W))
+
+
+# --------------------------------------------------------------------------
+# Concurrent callers: workspaces are checked out, never shared.
+# --------------------------------------------------------------------------
+
+class TestConcurrentCallers:
+    THREADS = 4
+    CALLS = 60
+
+    @pytest.mark.parametrize("q", range(1, NARROW_Q_MAX + 1))
+    def test_threads_at_one_width_match_serial(self, hmatrix_2d, q):
+        H = fresh(hmatrix_2d)
+        g = np.random.default_rng(30 + q)
+        panels = [g.random((H.dim, q)) for _ in range(self.THREADS)]
+        want = [_bytes(H.matmul(w, order="compiled")) for w in panels]
+        start = threading.Barrier(self.THREADS)
+        errors, wrong = [], []
+
+        def worker(i):
+            try:
+                start.wait()
+                for _ in range(self.CALLS):
+                    if _bytes(H.matmul(panels[i], order="compiled")) != \
+                            want[i]:
+                        wrong.append(i)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(self.THREADS)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert wrong == []
+        assert H._compiled is not None and not H._batched_built

@@ -68,6 +68,50 @@ class TestOrderAgreement:
             ev(W), evaluate_reference(hmatrix_2d.factors, W), atol=1e-10)
 
 
+#: Widths swept against the row-panel evaluator: both sides of
+#: NARROW_Q_MAX, one chunk (64), and two streamed chunks (512).
+DRIVER_Q = (1, 2, 3, 4, 5, 8, 9, 16, 64, 512)
+
+
+@pytest.fixture(scope="module", params=["hss", "h2-geometric", "h2-b"])
+def structured_h(request, points_2d, gaussian_kernel):
+    """One HMatrix per structure; h2-b needs more points (and a looser
+    budget) before the cost model accepts batch lowering."""
+    from repro.core.inspector import Inspector
+    points, extra = points_2d, {}
+    if request.param == "h2-b":
+        points = np.random.default_rng(7).random((1200, 2))
+        extra = {"budget": 0.1}
+    return Inspector(structure=request.param, tau=0.65, leaf_size=32,
+                     bacc=1e-6, p=4, seed=0, **extra).run(points,
+                                                          gaussian_kernel)
+
+
+class TestDefaultOrderDrivers:
+    """The default order picks its driver by panel width; every width
+    must give the bytes of the driver every width ran on before: the
+    row-panel evaluator, or the per-block code when batch lowering was
+    rejected."""
+
+    @pytest.mark.parametrize("q", DRIVER_Q)
+    def test_default_order_matches_row_panels(self, structured_h, q):
+        H = structured_h
+        W = np.random.default_rng(q).random((H.dim, q))
+        ref = H.batched_evaluator or H.evaluator
+        perm = H.tree.perm
+        want = np.empty((H.dim, q))
+        want[perm] = ref(W[perm])
+        assert H.matmul(W).tobytes() == want.tobytes()
+        assert H.matmul(W, order="compiled").tobytes() == want.tobytes()
+
+    def test_sweep_includes_padded_panels(self, hmatrix_2d):
+        """hmatrix_2d is the h2-geometric case above; some of its row
+        panels are zero-padded over gather holes."""
+        from repro.codegen.emit import _near_layout
+        assert any(padded for _r, _k, _si, _ei, padded, _b
+                   in _near_layout(hmatrix_2d.cds))
+
+
 class TestMatmulMany:
     def test_wide_array_equals_matmul(self, hmatrix_2d):
         W = np.random.default_rng(4).random((hmatrix_2d.dim, 80))
