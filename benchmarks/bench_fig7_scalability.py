@@ -7,25 +7,14 @@ count p is re-derived per simulated core count (as the real inspector
 would be configured per machine).
 """
 
-import os
-
-import numpy as np
 import pytest
 
-from repro.api.policy import ExecutionPolicy, effective_cpu_count
 from repro.baselines import MatRoxSystem
-from repro.core.executor import Executor
-from repro.core.inspector import Inspector
-from repro.datasets import load_dataset
 from repro.kernels import get_kernel
 from repro.runtime import HASWELL, KNL
 
 from conftest import (
     BENCH_Q,
-    BENCH_QUICK,
-    PAPER_BACC,
-    bench_n,
-    best_seconds,
     fmt,
     pipelines,
     print_table,
@@ -36,14 +25,6 @@ from conftest import (
 HASWELL_CORES = (1, 2, 4, 6, 8, 10, 12)
 KNL_CORES = (1, 2, 4, 8, 17, 34, 68)
 FIG7_DATASETS = ("covtype", "unit")
-
-# Real wall-clock thread-vs-process backend sweep (not simulated): a
-# large-n batched workload — fine leaves maximise the bucketed panel
-# supply the process backend shards.
-SWEEP_DATASET = "grid"
-SWEEP_LEAF = 16
-SWEEP_Q = int(os.environ.get("MATROX_SWEEP_Q", "512"))
-SWEEP_WORKERS = (1, 2, 4)
 
 
 def scaling_curves(pipelines, systems, name: str, machine, cores):
@@ -112,101 +93,6 @@ def test_fig7_scalability(machine, cores, mname, pipelines, systems, benchmark):
             )
             # MatRox keeps scaling well past 34 cores.
             assert mx[i68] > mx[i34]
-
-
-def test_fig7_backend_sweep(benchmark):
-    """Thread vs process backend, real execution (the ISSUE 3 tentpole).
-
-    Sweeps ``backend="thread"`` (the in-process engine: batched order
-    ignores the pool; the per-block order shows the GIL plateau the
-    process backend exists to break) against ``backend="process"`` at
-    1/2/4 workers, and emits the speedup table into
-    ``benchmarks/results/fig7_backend_sweep.json``. Equivalence (<1e-12)
-    is asserted unconditionally; the >= 1.5x speedup-at-4-workers gate
-    only applies where 4 physical cores exist and quick mode is off —
-    the JSON records ``cpu_count`` so a reader can tell which regime a
-    committed result came from.
-    """
-    n = bench_n(SWEEP_DATASET)
-    points = load_dataset(SWEEP_DATASET, n=n, seed=0)
-    insp = Inspector(structure="h2-geometric", tau=0.65, bacc=PAPER_BACC,
-                     leaf_size=SWEEP_LEAF, p=max(SWEEP_WORKERS), seed=0)
-    H = insp.run(points, get_kernel("gaussian", bandwidth=5.0))
-    assert H.evaluator.decision.batch, "sweep needs the batched engine"
-    W = np.random.default_rng(0).random((n, SWEEP_Q))
-
-    def run():
-        y_ref = H.matmul(W, order="batched")
-        t_serial = best_seconds(lambda: H.matmul(W, order="batched"))
-        thread_t, thread_pb_t, process_t = {}, {}, {}
-        errs = {}
-        for k in SWEEP_WORKERS:
-            pol = ExecutionPolicy(backend="thread", num_threads=k)
-            with Executor(policy=pol) as ex:
-                errs[f"thread-{k}"] = float(np.linalg.norm(
-                    ex.matmul(H, W) - y_ref) / np.linalg.norm(y_ref))
-                thread_t[k] = best_seconds(lambda: ex.matmul(H, W))
-                thread_pb_t[k] = best_seconds(
-                    lambda: ex.matmul(H, W, order="original"))
-            pol = ExecutionPolicy(backend="process", num_workers=k)
-            with Executor(policy=pol) as ex:
-                errs[f"process-{k}"] = float(np.linalg.norm(
-                    ex.matmul(H, W) - y_ref) / np.linalg.norm(y_ref))
-                process_t[k] = best_seconds(lambda: ex.matmul(H, W))
-        return t_serial, thread_t, thread_pb_t, process_t, errs
-
-    t_serial, thread_t, thread_pb_t, process_t, errs = benchmark.pedantic(
-        run, rounds=1, iterations=1)
-
-    rows = [["serial batched", "--", fmt(t_serial * 1e3), "1.00"]]
-    for k in SWEEP_WORKERS:
-        rows.append([
-            "thread (batched)", k, fmt(thread_t[k] * 1e3),
-            fmt(t_serial / thread_t[k]),
-        ])
-        rows.append([
-            "thread (per-block)", k, fmt(thread_pb_t[k] * 1e3),
-            fmt(t_serial / thread_pb_t[k]),
-        ])
-        rows.append([
-            "process (sharded)", k, fmt(process_t[k] * 1e3),
-            fmt(t_serial / process_t[k]),
-        ])
-    print_table(
-        f"Figure 7 extension: thread vs process backend "
-        f"({SWEEP_DATASET}, N={n}, Q={SWEEP_Q}, real wall-clock, "
-        f"{os.cpu_count()} cpus)",
-        ["backend", "workers", "time (ms)", "speedup vs serial"],
-        rows,
-    )
-    kmax = max(SWEEP_WORKERS)
-    speedup_vs_thread = {
-        k: thread_t[k] / process_t[k] for k in SWEEP_WORKERS
-    }
-    save_results("fig7_backend_sweep", {
-        "dataset": SWEEP_DATASET, "n": n, "q": SWEEP_Q,
-        "cpu_count": os.cpu_count(),
-        # What a default-sized pool (num_workers=None) actually gets:
-        # the affinity/cgroup-aware count, not the machine's.
-        "effective_cpu_count": effective_cpu_count(),
-        "default_engine_workers": effective_cpu_count(),
-        "serial_batched_s": t_serial,
-        "thread_batched_s": {str(k): t for k, t in thread_t.items()},
-        "thread_perblock_s": {str(k): t for k, t in thread_pb_t.items()},
-        "process_s": {str(k): t for k, t in process_t.items()},
-        "process_speedup_vs_thread": {
-            str(k): s for k, s in speedup_vs_thread.items()
-        },
-        "errors_vs_serial": errs,
-    })
-
-    assert all(e < 1e-12 for e in errs.values()), errs
-    cpus = os.cpu_count() or 1
-    if cpus >= 4 and not BENCH_QUICK:
-        assert speedup_vs_thread[kmax] >= 1.5, (
-            f"process backend only {speedup_vs_thread[kmax]:.2f}x over "
-            f"thread at {kmax} workers on {cpus} cpus"
-        )
 
 
 def test_fig7_smash_comparison(pipelines, systems, benchmark):

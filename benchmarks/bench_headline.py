@@ -14,7 +14,6 @@ import os
 
 import numpy as np
 
-from repro.api.policy import ExecutionPolicy
 from repro.baselines import DenseGEMM, MatRoxSystem
 from repro.core.executor import Executor
 from repro.core.inspector import Inspector
@@ -50,7 +49,7 @@ def test_headline_batched_executor_wallclock(benchmark):
     """The batched bucketed-GEMM engine vs the seed per-block executor.
 
     Real execution, no simulation: identical numerics (<1e-12 relative
-    across serial / threaded / batched / process-sharded paths) and >= 2x
+    across serial / threaded / batched paths) and >= 2x
     wall-clock on the default dataset at Q=64 (threshold relaxed in
     MATROX_BENCH_QUICK smoke runs — the numbers are still recorded).
     """
@@ -61,7 +60,6 @@ def test_headline_batched_executor_wallclock(benchmark):
     H = insp.run(points, get_kernel("gaussian", bandwidth=GAUSS_BW))
     assert H.evaluator.decision.batch, "cost model must accept batch lowering"
     W = np.random.default_rng(0).random((n, WALLCLOCK_Q))
-    workers = min(4, os.cpu_count() or 1)
 
     def run():
         y_serial = H.matmul(W, order="original")
@@ -70,23 +68,15 @@ def test_headline_batched_executor_wallclock(benchmark):
             y_threaded = ex.matmul(H, W, order="original")
         t_serial = best_seconds(lambda: H.matmul(W, order="original"))
         t_batched = best_seconds(lambda: H.matmul(W, order="batched"))
-        with Executor(policy=ExecutionPolicy(backend="process",
-                                             num_workers=workers)) as ex:
-            y_process = ex.matmul(H, W)
-            t_process = best_seconds(lambda: ex.matmul(H, W))
-        return (y_serial, y_threaded, y_batched, y_process,
-                t_serial, t_batched, t_process)
+        return y_serial, y_threaded, y_batched, t_serial, t_batched
 
-    (y_serial, y_threaded, y_batched, y_process,
-     t_serial, t_batched, t_process) = benchmark.pedantic(
-        run, rounds=1, iterations=1)
+    (y_serial, y_threaded, y_batched,
+     t_serial, t_batched) = benchmark.pedantic(run, rounds=1, iterations=1)
 
     scale = np.linalg.norm(y_serial)
     err_batched = np.linalg.norm(y_batched - y_serial) / scale
     err_threaded = np.linalg.norm(y_threaded - y_serial) / scale
-    err_process = np.linalg.norm(y_process - y_serial) / scale
     speedup = t_serial / t_batched
-    speedup_process = t_serial / t_process
     print_table(
         f"Headline: batched executor wall-clock ({WALLCLOCK_DATASET}, "
         f"N={n}, Q={WALLCLOCK_Q}, real execution)",
@@ -95,22 +85,17 @@ def test_headline_batched_executor_wallclock(benchmark):
             ["per-block (seed)", fmt(t_serial * 1e3), "1.00", "--"],
             ["threaded", "--", "--", f"{err_threaded:.2e}"],
             ["batched", fmt(t_batched * 1e3), fmt(speedup), f"{err_batched:.2e}"],
-            [f"process ({workers}w)", fmt(t_process * 1e3),
-             fmt(speedup_process), f"{err_process:.2e}"],
         ],
     )
     save_results("headline_batched", {
         "dataset": WALLCLOCK_DATASET, "n": n, "q": WALLCLOCK_Q,
         "serial_s": t_serial, "batched_s": t_batched, "speedup": speedup,
-        "process_s": t_process, "process_workers": workers,
-        "speedup_process": speedup_process, "cpu_count": os.cpu_count(),
+        "cpu_count": os.cpu_count(),
         "err_batched": err_batched, "err_threaded": err_threaded,
-        "err_process": err_process,
     })
 
     assert err_batched < 1e-12
     assert err_threaded < 1e-12
-    assert err_process < 1e-12
     if not BENCH_QUICK:
         assert speedup >= 2.0, (
             f"batched executor only {speedup:.2f}x faster than per-block"

@@ -60,23 +60,6 @@ def check_file(path: Path) -> list[str]:
             problems.append(f"{path.name}: non-finite value at {jpath}: {x}")
         elif x != 0.0 and abs(x) < sys.float_info.min:
             problems.append(f"{path.name}: denormal value at {jpath}: {x!r}")
-    # Semantic gate for the backend-sweep artifact: a result recorded on
-    # real multi-core hardware must not ship a process backend that lost
-    # to the thread backend — that would mean the >=1.5x tentpole claim
-    # is being evidenced by a regression. (1-CPU results are exempt: no
-    # parallel speedup is physically possible there, and the JSON's
-    # cpu_count field says so.)
-    if path.name == "fig7_backend_sweep.json" and isinstance(payload, dict):
-        cpus = payload.get("cpu_count") or 0
-        ratios = payload.get("process_speedup_vs_thread") or {}
-        if cpus >= 4 and ratios:
-            workers, best = max(ratios.items(), key=lambda kv: int(kv[0]))
-            if best < 1.0:
-                problems.append(
-                    f"{path.name}: process backend slower than thread "
-                    f"({best:.2f}x at {workers} workers) despite "
-                    f"cpu_count={cpus}"
-                )
     # Semantic gate for the serving artifact: compile-once/serve-forever
     # means a warm start must beat a cold start outright, and the
     # micro-batched KernelService must clear the tentpole's >= 1.5x
@@ -137,8 +120,7 @@ def check_file(path: Path) -> list[str]:
     # must recompile nothing — both algorithmic claims, enforced
     # unconditionally. (c) The >= 2x speedup at Q=1 is a wall-clock
     # claim, so it keys off the artifact's own gate_eligible flag
-    # (false for scaled-down quick-mode runs, mirroring fig7's
-    # cpu_count exemption).
+    # (false for scaled-down quick-mode runs).
     if path.name == "compiled.json" and isinstance(payload, dict):
         bit = payload.get("bit_identical")
         if bit is None:
@@ -197,9 +179,8 @@ def check_file(path: Path) -> list[str]:
                     f"(gate: warm tenants rebuild nothing)")
     # Semantic gates for the static-analysis artifact (`repro analyze
     # --json`): the shipped tree must carry zero unwaived findings,
-    # every waiver must state its reason (an unexplained waiver is just
-    # a suppressed bug), and a race replay recorded in the doc must have
-    # certified at least one engine trace with zero violations.
+    # and every waiver must state its reason (an unexplained waiver is
+    # just a suppressed bug).
     if path.name == "analysis_findings.json" and isinstance(payload, dict):
         unwaived = payload.get("unwaived")
         if unwaived is None:
@@ -213,16 +194,6 @@ def check_file(path: Path) -> list[str]:
                 problems.append(
                     f"{path.name}: waiver without a reason at "
                     f"{f.get('path')}:{f.get('line')}")
-        races = payload.get("races")
-        if races is not None:
-            if races.get("traces", 0) < 1:
-                problems.append(
-                    f"{path.name}: race replay certified no traces "
-                    f"(gate: the replay must actually replay)")
-            if races.get("violations", 0) != 0:
-                problems.append(
-                    f"{path.name}: {races['violations']} race violation(s) "
-                    f"in replayed engine traces (gate: zero)")
         # The concurrency certifier (DESIGN.md §14): the lock-acquisition
         # graph must be acyclic, the happens-before replay must certify
         # at least one recorded sync trace violation-free, and the

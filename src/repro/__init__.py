@@ -47,7 +47,6 @@ from repro.compression.compressor import CompressionResult, compress
 from repro.core.accuracy import overall_accuracy, relative_error
 from repro.core.executor import Executor, matmul, matmul_many
 from repro.core.hmatrix import HMatrix
-from repro.core.parallel import ProcessEngine, WorkerCrashError
 from repro.core.inspector import (
     InspectionP1,
     Inspector,
@@ -104,8 +103,6 @@ __all__ = [
     "InspectionP1",
     "HMatrix",
     "Executor",
-    "ProcessEngine",
-    "WorkerCrashError",
     "matmul",
     "matmul_many",
     "RunManifest",

@@ -8,8 +8,7 @@ and the CDS data layout.
 
 The *correctness analysis* side (DESIGN.md §13) proves invariants the
 tests can only sample: project-aware AST lint rules (:mod:`.lint`), the
-shared-memory race certifier over ProcessEngine traces (:mod:`.races`),
-the emitted-kernel write-set verifier that gates compiled artifacts
+emitted-kernel write-set verifier that gates compiled artifacts
 before execution (:mod:`.codegen_check`), and the thread-tier
 concurrency certifier (DESIGN.md §14): static lock-order analysis
 (:mod:`.lockorder`), the vector-clock happens-before checker over
@@ -59,16 +58,6 @@ from repro.analysis.lint import (
     lint_paths,
     lint_source,
 )
-from repro.analysis.races import (
-    RaceViolation,
-    certify_trace,
-    certify_trace_dir,
-    certify_trace_file,
-    load_trace,
-    save_trace,
-    seed_overlap_violation,
-    trace_from_plans,
-)
 from repro.analysis.structure_sets import BlockSet, CoarsenLevel, CoarsenSet, SubTree
 
 __all__ = [
@@ -88,7 +77,6 @@ __all__ = [
     "LOCK_RULES",
     "LockOrderReport",
     "RULES",
-    "RaceViolation",
     "ScenarioSuite",
     "ScheduleExplorer",
     "ScheduleReport",
@@ -98,20 +86,13 @@ __all__ = [
     "certify_sync_trace",
     "certify_sync_trace_dir",
     "certify_sync_trace_file",
-    "certify_trace",
-    "certify_trace_dir",
-    "certify_trace_file",
     "explore_default_scenarios",
     "findings_to_doc",
     "lint_paths",
     "lint_source",
-    "load_trace",
     "reset_analysis_counters",
-    "save_trace",
     "schedule_footprint",
-    "seed_overlap_violation",
     "seed_unordered_pair",
-    "trace_from_plans",
     "verify_artifact",
     "verify_artifact_file",
 ]

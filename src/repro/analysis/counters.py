@@ -1,8 +1,8 @@
 """Process-global counters for the analysis layer (DESIGN.md §13).
 
 Every analysis pass that runs in-process — the write-set verifier
-guarding compiled-artifact loads, the race certifier replaying engine
-traces — increments a named counter here. :func:`analysis_counters`
+guarding compiled-artifact loads, the happens-before checker replaying
+sync traces — increments a named counter here. :func:`analysis_counters`
 surfaces the snapshot through ``collect_stats()["analysis"]`` and the
 run manifest's ``stats.analysis`` section, so a manifest records not
 just *what* a run did but *what was proven about it*.
@@ -24,8 +24,6 @@ __all__ = ["analysis_counters", "bump_analysis_counter",
 _NAMES = (
     "writeset_verified",   # compiled artifacts proven safe before exec
     "writeset_rejected",   # compiled artifacts refused (degrade to batched)
-    "races_certified",     # engine traces certified race-free
-    "races_flagged",       # engine traces with unordered conflicting writes
     "lint_findings",       # unwaived lint findings reported by `repro analyze`
     "lockorder_certified",   # lock-order graphs certified acyclic
     "lockorder_cycles",      # lock-order cycles found (deadlock potential)

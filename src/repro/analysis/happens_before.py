@@ -1,8 +1,6 @@
 """Vector-clock happens-before checker for recorded sync traces.
 
-The thread-tier counterpart of :mod:`repro.analysis.races`: where the
-race certifier proves the *process* engine's barrier protocol orders
-every shared-array access, this module proves the *thread* tier's locks
+The repository's one trace checker: it proves the thread tier's locks
 actually order every access to a ``# guarded-by:`` annotated attribute.
 The input is a sync trace recorded by
 :mod:`repro.observability.sync` — lock acquire/release, thread

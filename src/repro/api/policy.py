@@ -58,11 +58,8 @@ def runs_fused(q: int, q_chunk: int | None = None) -> bool:
 #: built with it holds ``order="batched"``.
 #: ``"auto"`` defers the choice to the profile-guided autotuner
 #: (:mod:`repro.tuning`): it resolves to one of the concrete orders (and a
-#: backend/thread/worker/q_chunk setting) before any evaluator runs.
+#: thread/q_chunk setting) before any evaluator runs.
 VALID_ORDERS = ("batched", "compiled", "original", "tree", "auto")
-
-#: The execution backends an :class:`ExecutionPolicy` may request.
-VALID_BACKENDS = ("thread", "process")
 
 
 def effective_cpu_count() -> int:
@@ -115,28 +112,13 @@ class ExecutionPolicy:
         (:mod:`repro.tuning`) at evaluation time: a
         :class:`~repro.tuning.TuningProfile` keyed by HMatrix
         fingerprint x RHS-width bucket x host signature picks the
-        concrete order/backend/thread/worker/q_chunk setting. Knobs set
-        explicitly alongside ``order="auto"`` are *pinned*: the tuner
-        only chooses among candidates that honor them.
-    backend:
-        ``"thread"`` (default) runs in-process, optionally over a thread
-        pool. ``"process"`` shards the batched engine's CDS row panels
-        across a pool of worker processes with the CDS buffers mapped via
-        ``multiprocessing.shared_memory`` (see
-        :mod:`repro.core.parallel` and DESIGN.md section 7); results are
-        bit-identical to the serial batched engine (< 1e-12 on matrices
-        where the cost model rejected batch lowering). The backend
-        applies to the batched/tree orders; ``order="original"`` names
-        the per-block code explicitly and always runs in-process.
+        concrete order/thread/q_chunk setting. Knobs set explicitly
+        alongside ``order="auto"`` are *pinned*: the tuner only chooses
+        among candidates that honor them.
     num_threads:
         Worker threads for the per-block code path. ``None`` or 1 runs
         serially. NumPy's BLAS releases the GIL inside GEMM, so block tasks
         overlap on real cores.
-    num_workers:
-        Worker *processes* for ``backend="process"``. ``None`` picks
-        :func:`effective_cpu_count` (the affinity/cgroup-aware count,
-        not the machine's); ``0`` keeps the sharded code path but executes
-        every shard in the calling process (no pool).
     q_chunk:
         Streaming panel width (columns per pass) override. ``None`` keeps
         the generated evaluator's own cache-sized width.
@@ -145,8 +127,6 @@ class ExecutionPolicy:
     order: str = "batched"
     num_threads: int | None = None
     q_chunk: int | None = None
-    backend: str = "thread"
-    num_workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.order not in VALID_ORDERS:
@@ -155,18 +135,9 @@ class ExecutionPolicy:
             )
         if self.order == "compiled":
             object.__setattr__(self, "order", "batched")
-        if self.backend not in VALID_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {VALID_BACKENDS}, got "
-                f"{self.backend!r}"
-            )
         if self.num_threads is not None and self.num_threads < 1:
             raise ValueError(
                 f"num_threads must be >= 1, got {self.num_threads}"
-            )
-        if self.num_workers is not None and self.num_workers < 0:
-            raise ValueError(
-                f"num_workers must be >= 0, got {self.num_workers}"
             )
         if self.q_chunk is not None and self.q_chunk < 1:
             raise ValueError(f"q_chunk must be >= 1, got {self.q_chunk}")
@@ -178,9 +149,7 @@ class ExecutionPolicy:
 
     def merged(self, order: str | None = None,
                num_threads: int | None = None,
-               q_chunk: int | None = None,
-               backend: str | None = None,
-               num_workers: int | None = None) -> "ExecutionPolicy":
+               q_chunk: int | None = None) -> "ExecutionPolicy":
         """This policy with any explicitly-given knobs overriding it."""
         updates: dict[str, object] = {}
         if order is not None:
@@ -189,10 +158,6 @@ class ExecutionPolicy:
             updates["num_threads"] = num_threads
         if q_chunk is not None:
             updates["q_chunk"] = q_chunk
-        if backend is not None:
-            updates["backend"] = backend
-        if num_workers is not None:
-            updates["num_workers"] = num_workers
         return replace(self, **updates) if updates else self
 
 
@@ -204,8 +169,6 @@ def resolve_policy(policy: ExecutionPolicy | None = None,
                    order: str | None = None,
                    num_threads: int | None = None,
                    q_chunk: int | None = None,
-                   backend: str | None = None,
-                   num_workers: int | None = None,
                    fallback: ExecutionPolicy | None = None) -> ExecutionPolicy:
     """Fold loose keyword knobs and an optional policy into one policy.
 
@@ -218,7 +181,5 @@ def resolve_policy(policy: ExecutionPolicy | None = None,
     """
     base = coalesce_policy(policy,
                            coalesce_policy(fallback, DEFAULT_POLICY))
-    return base.merged(
-        order=order, num_threads=num_threads, q_chunk=q_chunk,
-        backend=backend, num_workers=num_workers,
-    )
+    return base.merged(order=order, num_threads=num_threads,
+                       q_chunk=q_chunk)

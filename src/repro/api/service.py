@@ -13,10 +13,9 @@ single-owner and every caller pays a full ``matmul`` per request.
   concurrency-safe request path: callers only touch the queue) and
   **micro-batches** compatible requests — queued requests for the same
   HMatrix are stacked column-wise into ONE ``matmul`` call, amortizing
-  the batched-GEMM engine (and, with ``backend="process"``, the worker
-  pool) across tenants; per-request results are split back out of the
-  stacked product, bit-identical to a solo evaluation of the same
-  columns;
+  the batched-GEMM engine across tenants; per-request results are split
+  back out of the stacked product, bit-identical to a solo evaluation of
+  the same columns;
 * per-request **latency and queue-depth stats** (p50/p99, batch sizes)
   make the serving behaviour observable.
 
@@ -488,7 +487,7 @@ class KernelService:
                 )
                 self.manifest_path = write_run_manifest(
                     build_run_manifest(service=self), self._manifest_target)
-        # Only tear the session (pools, process engines) down once the
+        # Only tear the session (thread pool) down once the
         # dispatcher has actually exited — a timed-out join means a batch
         # is still inside session.matmul.
         if self._owns_session and not self._dispatcher.is_alive():

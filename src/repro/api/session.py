@@ -178,8 +178,8 @@ class Session:
         self.plan = plan if plan is not None else PlanConfig()
         self.policy = resolve_policy(policy, num_threads=num_threads)
         # Resolve/validate the store BEFORE constructing the Executor: a
-        # bad argument must not leak an already-started thread/process
-        # pool (nothing would ever call close() on it).
+        # bad argument must not leak an already-started thread pool
+        # (nothing would ever call close() on it).
         if store is None or isinstance(store, (str, os.PathLike)):
             store = PlanStore(
                 store,
@@ -213,11 +213,10 @@ class Session:
                 self._manifest_target = self.store.directory / "manifests"
             else:
                 self._manifest_target = Path(manifest)
-        # The full policy travels into the executor so a
-        # backend="process" session owns its worker pools (torn down,
-        # with their shared-memory segments, on close()). The store
-        # travels too: an order="auto" session persists its tuning
-        # profiles next to its plan artifacts and warm-starts both.
+        # The full policy travels into the executor (a threaded session
+        # owns its pool, shut down on close()). The store travels too:
+        # an order="auto" session persists its tuning profiles next to
+        # its plan artifacts and warm-starts both.
         self._executor = Executor(policy=self.policy, store=self.store)
         self.stats = SessionStats()
         self._closed = False
@@ -255,24 +254,24 @@ class Session:
         pfp = points_fingerprint(points)
 
         h_key = (pfp, plan.fingerprint(), kernel.identity())
-        H = self.store.get_hmatrix(h_key)
+        H = self.store.get("hmatrix", h_key)
         if H is not None:
             self.stats.hmatrix_hits += 1
             return H
 
         p1_key = (pfp, plan.p1_fingerprint())
         inspector = plan.to_inspector()
-        p1 = self.store.get_p1(p1_key)
+        p1 = self.store.get("p1", p1_key)
         if p1 is None:
             p1 = inspector.run_p1(points)
-            self.store.put_p1(p1_key, p1)
+            self.store.put("p1", p1_key, p1)
             self.stats.p1_builds += 1
         else:
             self.stats.p1_hits += 1
 
         H = inspector.run_p2(p1, kernel)
         self.stats.p2_builds += 1
-        self.store.put_hmatrix(h_key, H)
+        self.store.put("hmatrix", h_key, H)
         return H
 
     def operator(self, points, kernel: Kernel | str = "gaussian",
@@ -327,11 +326,10 @@ class Session:
 
     # -------------------------------------------------------------- lifecycle
     def cache_info(self) -> dict:
-        """Occupancy + hit counters (session + store + tuner + engines)."""
+        """Occupancy + hit counters (session + store + tuner + compiled)."""
         return {**self.store.cache_info(), **self.stats.as_dict(),
                 "autotune": self._executor.autotune_stats(),
-                "compiled": self._executor.compiled_stats(),
-                "engines": self._executor.engine_stats()}
+                "compiled": self._executor.compiled_stats()}
 
     @property
     def autotuner(self):

@@ -43,7 +43,6 @@ import importlib
 import io
 import json
 import os
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -342,48 +341,6 @@ class PlanStore:
         (memory LRU → verified disk load). Raises
         :class:`PlanStoreError` on a hit whose bytes fail verification.
         """
-        return self._get(tier, key)
-
-    def put(self, tier: str, key: Any, value: Any) -> str:
-        """Persist ``value`` under ``(tier, key)``; returns the digest.
-
-        Applies the tier's ``prepare`` hook (wire-format coercion), then
-        writes memory + disk atomically.
-        """
-        tier_desc = _tier(tier)
-        if tier_desc.prepare is not None:
-            value = tier_desc.prepare(value)
-        return self._put(tier, key, value)
-
-    # Legacy per-tier helpers. Deprecated: use the generic
-    # get(tier, key) / put(tier, key, value) registry API instead; these
-    # remain as thin shims for callers written against the PR-4 surface.
-    def get_p1(self, key: Any) -> Any:
-        """Deprecated shim for ``get("p1", key)``."""
-        return self.get("p1", key)
-
-    def put_p1(self, key: Any, p1: Any) -> str:
-        """Deprecated shim for ``put("p1", key, p1)``."""
-        return self.put("p1", key, p1)
-
-    def get_hmatrix(self, key: Any) -> Any:
-        """Deprecated shim for ``get("hmatrix", key)``."""
-        return self.get("hmatrix", key)
-
-    def put_hmatrix(self, key: Any, H: Any) -> str:
-        """Deprecated shim for ``put("hmatrix", key, H)``."""
-        return self.put("hmatrix", key, H)
-
-    def get_profile(self, key: Any) -> Any:
-        """Deprecated shim for ``get("profile", key)``."""
-        return self.get("profile", key)
-
-    def put_profile(self, key: Any, profile: Any) -> str:
-        """Deprecated shim for ``put("profile", key, profile)``."""
-        return self.put("profile", key, profile)
-
-    # ------------------------------------------------------------- get / put
-    def _get(self, tier: str, key: Any) -> Any:
         digest = self.digest(tier, key)
         with self._lock:
             hit = self._mem_for(tier).get(digest)
@@ -426,13 +383,15 @@ class PlanStore:
             self.stats.disk_hits += 1
             return value
 
-    @staticmethod
-    def _touch(path: Path) -> None:
-        # OSError: raced with eviction; recency update is best-effort.
-        with contextlib.suppress(OSError):  # pragma: no cover
-            os.utime(path)
+    def put(self, tier: str, key: Any, value: Any) -> str:
+        """Persist ``value`` under ``(tier, key)``; returns the digest.
 
-    def _put(self, tier: str, key: Any, value: Any) -> str:
+        Applies the tier's ``prepare`` hook (wire-format coercion), then
+        writes memory + disk atomically.
+        """
+        tier_desc = _tier(tier)
+        if tier_desc.prepare is not None:
+            value = tier_desc.prepare(value)
         digest = self.digest(tier, key)
         with self._lock:
             self._mem_for(tier).put(digest, (repr(key), value))
@@ -441,6 +400,12 @@ class PlanStore:
                 self.stats.puts += 1
                 self._evict()
         return digest
+
+    @staticmethod
+    def _touch(path: Path) -> None:
+        # OSError: raced with eviction; recency update is best-effort.
+        with contextlib.suppress(OSError):  # pragma: no cover
+            os.utime(path)
 
     # ------------------------------------------------------------ disk layer
     def _integrity_error(self, message: str, *, quarantine: bool = False,

@@ -62,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.api.plan import PlanConfig
-from repro.api.policy import VALID_BACKENDS, VALID_ORDERS, resolve_policy
+from repro.api.policy import VALID_ORDERS, resolve_policy
 from repro.core.executor import Executor
 from repro.core.io import (
     load_hmatrix,
@@ -117,14 +117,8 @@ def _add_policy_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", default=None, choices=list(VALID_ORDERS),
                    help="evaluation engine/order (default: batched; "
                         "'auto' resolves via the profile-guided autotuner)")
-    p.add_argument("--backend", default=None, choices=list(VALID_BACKENDS),
-                   help="execution backend: in-process threads (default) "
-                        "or the shared-memory process pool")
     p.add_argument("--threads", type=int, default=None,
                    help="thread-pool workers for the per-block code")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for --backend process "
-                        "(default: cpu count)")
     p.add_argument("--q-chunk", type=int, default=None,
                    help="streaming panel width (columns per pass)")
 
@@ -163,8 +157,7 @@ def cmd_evaluate(args) -> int:
     W = (np.load(args.w) if args.w
          else np.random.default_rng(args.seed).random((H.dim, args.q)))
     policy = resolve_policy(order=args.order, num_threads=args.threads,
-                            q_chunk=args.q_chunk, backend=args.backend,
-                            num_workers=args.workers)
+                            q_chunk=args.q_chunk)
     store = PlanStore(args.store) if getattr(args, "store", None) else None
     with Executor(policy=policy, store=store) as ex:
         t0 = time.perf_counter()
@@ -178,20 +171,13 @@ def cmd_evaluate(args) -> int:
             prof = tuner.profile_for(H, q, policy)
             policy = prof.best_policy()
             print(f"auto policy -> order={policy.order}, "
-                  f"backend={policy.backend}, "
                   f"threads={policy.num_threads}, "
-                  f"workers={policy.num_workers}, "
                   f"q_chunk={policy.q_chunk} "
                   f"(source={prof.source}, margin {prof.margin:.2f}x, "
                   f"bucket={prof.width_bucket})")
     gf = H.evaluation_flops(W.shape[1] if W.ndim == 2 else 1) / dt / 1e9
-    workers = ""
-    if policy.backend == "process":
-        w = "auto" if policy.num_workers is None else policy.num_workers
-        workers = f", workers={w}"
     print(f"evaluated Y = H @ W  (N={H.dim}, Q="
-          f"{W.shape[1] if W.ndim == 2 else 1}, order={policy.order}, "
-          f"backend={policy.backend}{workers}"
+          f"{W.shape[1] if W.ndim == 2 else 1}, order={policy.order}"
           f"{f', threads={policy.num_threads}' if policy.num_threads else ''}"
           f") in {dt:.3f}s ({gf:.2f} GF/s)")
     if args.output:
@@ -496,7 +482,6 @@ def cmd_analyze(args) -> int:
     from repro.analysis import (
         AnalysisError,
         bump_analysis_counter,
-        certify_trace_dir,
         findings_to_doc,
         lint_paths,
         verify_artifact_file,
@@ -517,22 +502,6 @@ def cmd_analyze(args) -> int:
     failures = len(unwaived)
 
     extra: dict = {"paths": [str(p) for p in paths]}
-    if args.races:
-        try:
-            results = certify_trace_dir(args.races)
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"analyze: {exc}", file=sys.stderr)
-            return 2
-        race_count = 0
-        for name, violations in sorted(results.items()):
-            for violation in violations:
-                print(f"{name}: RACE {violation.format()}")
-                race_count += 1
-        extra["races"] = {"traces": len(results),
-                          "violations": race_count}
-        failures += race_count
-        print(f"analyze: {len(results)} engine trace(s) certified, "
-              f"{race_count} race(s)")
     if args.artifact:
         try:
             verify_artifact_file(args.artifact)
@@ -872,20 +841,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "analyze",
-        help="project static analysis: lint rules R001-R004, race "
-             "certification, compiled write-set verification, "
+        help="project static analysis: lint rules R001-R004, "
+             "compiled write-set verification, "
              "concurrency certification (C001, happens-before, "
              "schedule exploration)")
     p.add_argument("paths", nargs="*",
                    help="files/directories to lint (default: src/repro)")
     p.add_argument("--strict", action="store_true",
-                   help="exit 1 on any unwaived finding, race, lock-order "
+                   help="exit 1 on any unwaived finding, lock-order "
                         "cycle, happens-before violation, schedule "
                         "failure, or rejected artifact")
     p.add_argument("--json", default=None,
                    help="write the machine-readable findings JSON here")
-    p.add_argument("--races", default=None, metavar="DIR",
-                   help="certify every engine access trace (*.json) in DIR")
     p.add_argument("--artifact", default=None, metavar="NPZ",
                    help="verify a compiled artifact's write sets")
     p.add_argument("--threads", action="store_true",

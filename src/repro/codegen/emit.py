@@ -433,13 +433,6 @@ def _row_panels(layout, buf):
     return tuple(table)
 
 
-def _row_panel_tables(pairs, row_range, col_range, buf, offsets):
-    """Row panels for one reduction loop: (panel, gather runs, K, si, ei)
-    (see :func:`_row_panel_layout`)."""
-    return _row_panels(
-        _row_panel_layout(pairs, row_range, col_range, offsets), buf)
-
-
 def _near_layout(cds: CDSMatrix):
     t = cds.tree
     rng = list(zip(t.start.tolist(), t.stop.tolist()))

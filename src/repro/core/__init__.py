@@ -11,7 +11,6 @@ from repro.core.inspector import (
     inspector_p2,
 )
 from repro.core.executor import Executor, matmul, matmul_many
-from repro.core.parallel import ProcessEngine
 
 __all__ = [
     "evaluate_reference",
@@ -24,7 +23,6 @@ __all__ = [
     "inspector_p1",
     "inspector_p2",
     "Executor",
-    "ProcessEngine",
     "matmul",
     "matmul_many",
 ]

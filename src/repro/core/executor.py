@@ -25,7 +25,6 @@ processes), while the free functions share the process-global tuner.
 
 from __future__ import annotations
 
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
@@ -47,32 +46,12 @@ if TYPE_CHECKING:  # annotation-only: the real imports stay lazy
 __all__ = ["Executor", "matmul", "matmul_many", "DEFAULT_Q_CHUNK"]
 
 
-def _evict_engine(executor_ref, key) -> None:
-    """weakref.finalize callback: an HMatrix died, so its cached process
-    engine must go — CPython reuses ids, and a stale entry under a
-    recycled id would hand a *different* HMatrix another matrix's
-    engine. Module-level (not a bound method) so the finalizer itself
-    never keeps the executor alive."""
-    executor = executor_ref()
-    if executor is None:
-        return
-    entry = executor._engines.pop(key, None)
-    if entry is not None:
-        executor.engines_evicted += 1
-        entry[0].close()
-
-
 class Executor:
     """Reusable evaluation context with an optional thread pool.
 
     ``Executor(num_threads=4)`` keeps the legacy shorthand;
     ``Executor(policy=ExecutionPolicy(...))`` carries every knob at once.
     An explicit ``num_threads`` overrides the policy's.
-
-    With ``policy.backend == "process"`` the executor owns one persistent
-    :class:`~repro.core.parallel.ProcessEngine` per HMatrix it has seen
-    (shared-memory pool, reused across ``matmul``/``matmul_many`` calls)
-    and tears them all down on :meth:`close` / context-manager exit.
 
     ``store`` (a :class:`~repro.api.store.PlanStore`) backs the
     executor's autotuner: ``order="auto"`` profiles persist there and
@@ -90,28 +69,11 @@ class Executor:
         self._pool = (
             ThreadPoolExecutor(max_workers=self.num_threads)
             if self.num_threads and self.num_threads > 1
-            and self.policy.backend == "thread"
             else None
         )
-        # Process engines keyed by the HMatrix identity (plus the knobs
-        # that shape the pool); populated lazily, closed with the
-        # executor. The identity is weakref-guarded: each entry carries a
-        # finalizer that evicts (and closes) it the moment its HMatrix is
-        # collected, so a recycled id can never alias another matrix's
-        # engine. Bounded: each engine pins worker processes and a
-        # shared-memory CDS copy, so an unbounded map would defeat a
-        # Session's HMatrix LRU in long-lived serving use.
-        self._engines: dict = {}
-        self._max_engines = 4
         self._store = store
         self._autotuner = autotuner
         self._compiled_cache = None
-        # Engine-cache lifecycle counters (the observability layer's
-        # window into pool behaviour; a respawn is the recovery proof
-        # after a WorkerCrashError closed an engine).
-        self.engines_built = 0
-        self.engine_respawns = 0
-        self.engines_evicted = 0
 
     # -------------------------------------------------------------- tuning
     @property
@@ -166,60 +128,6 @@ class Executor:
         q = W.shape[1] if getattr(W, "ndim", 1) == 2 else 1
         return self.autotuner.resolve(H, q, pol)
 
-    # ------------------------------------------------------------- engines
-    def engine_for(self, H: HMatrix,
-                   policy: ExecutionPolicy | None = None):
-        """The persistent process engine for ``H`` (created on first use).
-
-        At most ``_max_engines`` engines are kept; the least recently
-        used one is closed (workers + segments) to admit a new one.
-        Entries are keyed by weakref-guarded identity: the finalizer
-        registered on ``H`` evicts the entry when ``H`` is collected,
-        and a cache hit additionally verifies ``engine.H is H`` — an id
-        recycled by CPython can never serve a stale engine.
-        """
-        from repro.core.parallel import ProcessEngine
-
-        pol = resolve_policy(policy, fallback=self.policy)
-        key = (id(H), pol.num_workers, pol.q_chunk)
-        entry = self._engines.pop(key, None)
-        if entry is not None:
-            engine, finalizer = entry
-            if engine.closed or engine.H is not H:
-                if engine.closed and engine.H is H:
-                    # Same matrix, dead pool (a WorkerCrashError closed
-                    # it): the rebuild below IS the recovery respawn.
-                    self.engine_respawns += 1
-                finalizer.detach()
-                engine.close()
-                entry = None
-        if entry is None:
-            engine = ProcessEngine(H, num_workers=pol.num_workers,
-                                   q_chunk=pol.q_chunk)
-            self.engines_built += 1
-            finalizer = weakref.finalize(
-                H, _evict_engine, weakref.ref(self), key)
-            entry = (engine, finalizer)
-        self._engines[key] = entry  # re-insert = move to MRU position
-        while len(self._engines) > self._max_engines:
-            oldest = next(iter(self._engines))
-            old_engine, old_finalizer = self._engines.pop(oldest)
-            # Detach first: the old H dying later must not evict (and
-            # close) a successor entry that reused its id.
-            old_finalizer.detach()
-            old_engine.close()
-            self.engines_evicted += 1
-        return entry[0]
-
-    def engine_stats(self) -> dict:
-        """Engine-cache lifecycle counters (stats export / manifests)."""
-        return {
-            "active": len(self._engines),
-            "built": self.engines_built,
-            "respawns": self.engine_respawns,
-            "evicted": self.engines_evicted,
-        }
-
     def matmul(self, H: HMatrix, W: np.ndarray, order: str | None = None,
                q_chunk: int | None = None,
                policy: ExecutionPolicy | None = None) -> np.ndarray:
@@ -227,11 +135,6 @@ class Executor:
         pol = resolve_policy(policy, order=order, q_chunk=q_chunk,
                              fallback=self.policy)
         pol = self._resolve_auto(H, W, pol)
-        if pol.backend == "process" and pol.order != "original":
-            # The process engine implements the batched lowering only;
-            # order="original" explicitly asks for the per-block code, so
-            # it wins over the backend and runs in-process.
-            return self.engine_for(H, pol).matmul(W, order=pol.order)
         # A panel that runs fused resolves its driver through this
         # executor's cache (store-backed when available), so the
         # evaluator attached to H is the persisted one. Wider panels
@@ -268,15 +171,10 @@ class Executor:
         return [self.matmul_many(H, w, policy=pol) for w in W]
 
     def close(self) -> None:
-        """Shut the thread pool down and tear down every process engine
-        (worker processes + shared-memory segments). Idempotent."""
+        """Shut the thread pool down. Idempotent."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        for engine, finalizer in self._engines.values():
-            finalizer.detach()
-            engine.close()
-        self._engines.clear()
 
     def __enter__(self):
         return self
@@ -308,7 +206,7 @@ def matmul(H: HMatrix, W: np.ndarray, num_threads: int | None = None,
     if pol.is_auto:
         from repro.tuning import resolve_auto
         pol = resolve_auto(H, W, pol)
-    if pol.backend == "process" or (pol.num_threads and pol.num_threads > 1):
+    if pol.num_threads and pol.num_threads > 1:
         with Executor(policy=pol) as ex:
             return ex.matmul(H, W)
     return H.matmul(W, order=pol.order, q_chunk=pol.q_chunk)

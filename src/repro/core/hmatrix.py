@@ -148,17 +148,6 @@ class HMatrix:
             from repro.tuning import resolve_auto
             pol = resolve_auto(self, W, pol)
         order, q_chunk = pol.order, pol.q_chunk
-        if pol.backend == "process" and pool is None and order != "original":
-            # Convenience path: a short-lived pool for this one call. For
-            # the persistent pool the backend is designed around, route
-            # through an Executor or Session, which cache one
-            # ProcessEngine per HMatrix and close it deterministically.
-            # order="original" asks for the per-block code by name, so it
-            # wins over the backend and runs in-process below.
-            from repro.core.parallel import ProcessEngine
-            with ProcessEngine(self, num_workers=pol.num_workers,
-                               q_chunk=q_chunk) as engine:
-                return engine.matmul(W, order=order)
         if pool is None and pol.num_threads and pol.num_threads > 1:
             with ThreadPoolExecutor(max_workers=pol.num_threads) as tmp:
                 return self.matmul(W, pool=tmp, order=order, q_chunk=q_chunk,

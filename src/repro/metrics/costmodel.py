@@ -146,11 +146,6 @@ def simulate_inspector_seconds(
 #: trials are noise: serve the analytic prior directly (zero trials).
 EXECUTOR_TRIVIAL_FLOPS = 2.0e7
 
-#: The process backend only pays for itself once a pass is at least this
-#: big (pool dispatch + shared-memory traffic amortized); smaller
-#: problems never get a process candidate.
-PROCESS_BACKEND_MIN_FLOPS = 5.0e7
-
 
 def _generic_host_machine(cpus: int) -> MachineModel:
     """A neutral per-host machine model for the policy prior.
@@ -170,34 +165,16 @@ def _generic_host_machine(cpus: int) -> MachineModel:
     )
 
 
-def predict_policy_seconds(knobs: dict, flops: float, q: int,
-                           cpus: int,
+def predict_policy_seconds(knobs: dict, flops: float, cpus: int,
                            machine: MachineModel | None = None) -> float:
     """Modelled seconds for one ``Y = H @ W`` pass under a policy.
 
     ``knobs`` is the :func:`repro.tuning.profile.policy_knobs` dict form
-    (order/backend/num_threads/num_workers/q_chunk); ``flops`` the
-    HMatrix's evaluation flop count for ``q`` columns.
+    (order/num_threads/q_chunk); ``flops`` the HMatrix's evaluation flop
+    count for the pass's right-hand-side width.
     """
     machine = machine if machine is not None else _generic_host_machine(cpus)
     order = knobs.get("order", "batched")
-    backend = knobs.get("backend", "thread")
-    q = max(1, int(q))
-
-    if backend == "process" and order != "original":
-        workers = knobs.get("num_workers") or cpus
-        workers = max(1, min(int(workers), cpus))
-        compute = machine.flop_seconds(
-            flops, cores=workers, efficiency=machine.blas_efficiency)
-        q_chunk = int(knobs.get("q_chunk") or 256)
-        chunks = -(-q // q_chunk)
-        # 3-phase barrier protocol per chunk + one W/Y pass through
-        # shared memory (see repro.core.parallel).
-        sync = chunks * 3.0 * machine.barrier_seconds(workers)
-        traffic = machine.mem_seconds(2.0 * flops / 50.0,
-                                      active_cores=workers)
-        return compute + sync + traffic
-
     if order in ("batched", "tree"):
         # One stacked GEMM per shape bucket: large-GEMM efficiency.
         return machine.flop_seconds(flops, cores=1,
@@ -213,7 +190,7 @@ def predict_policy_seconds(knobs: dict, flops: float, q: int,
     return compute + spawn
 
 
-def executor_policy_priors(candidates, flops: float, q: int, cpus: int,
+def executor_policy_priors(candidates, flops: float, cpus: int,
                            machine: MachineModel | None = None) -> list:
     """Rank candidate policy-knob dicts by modelled seconds (best first).
 
@@ -223,7 +200,7 @@ def executor_policy_priors(candidates, flops: float, q: int, cpus: int,
     """
     machine = machine if machine is not None else _generic_host_machine(cpus)
     scored = [
-        (knobs, predict_policy_seconds(knobs, flops, q, cpus, machine))
+        (knobs, predict_policy_seconds(knobs, flops, cpus, machine))
         for knobs in candidates
     ]
     order = sorted(range(len(scored)), key=lambda i: (scored[i][1], i))

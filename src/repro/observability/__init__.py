@@ -11,9 +11,9 @@ Three concerns, one package:
   counter dict across PlanStore/Session/KernelService/Executor/tuner,
   rendered as ``/metrics``-style text (``repro stats``);
 * **fault injection** (:mod:`repro.observability.faults`) — the chaos
-  layer: :class:`FaultPlan` names the exact interleaving point where a
-  worker dies or an artifact rots, so the failure-model tests are
-  enumerated schedules, not sleeps.
+  layer: :class:`FaultPlan` names the exact interleaving point where
+  an artifact rots, so the failure-model tests are enumerated
+  schedules, not sleeps.
 """
 
 from repro.observability.faults import (

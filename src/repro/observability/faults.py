@@ -4,27 +4,20 @@ Chaos tests need to break the system at *named interleaving points*, not
 with sleeps and luck (the dynamic-partial-order-reduction argument: the
 failure schedule is part of the test's identity, so it must be
 enumerable and replayable). A :class:`FaultPlan` names exactly which
-fault fires where:
-
-* ``kill_worker=(phase, wid)`` — SIGKILL worker ``wid`` at the start of
-  the named :class:`~repro.core.parallel.ProcessEngine` barrier phase
-  (``"near_and_leaf_up"``, ``"far"``, ``"leaf_down"``), simulating a
-  worker dying mid-protocol;
-* ``corrupt_tier="p1"|"hmatrix"|"profile"`` — flip the payload bytes of
-  the next :class:`~repro.api.store.PlanStore` load of that tier
-  *between* its SHA-256 verification and its decode, simulating an
-  artifact rotting in the verify-to-decode window (the TOCTOU case a
-  plain on-disk tamper test cannot reach).
+fault fires where: ``corrupt_tier="p1"|"hmatrix"|"profile"|"compiled"``
+flips the payload bytes of the next :class:`~repro.api.store.PlanStore`
+load of that tier *between* its SHA-256 verification and its decode,
+simulating an artifact rotting in the verify-to-decode window (the
+TOCTOU case a plain on-disk tamper test cannot reach).
 
 Each fault fires **once** (the plan records what fired in
 :attr:`FaultPlan.fired`), so a recovery retry runs against a healthy
 system by construction. Production code consults the process-global
 plan through :func:`active_fault_plan`; with no plan installed (the
-default, always, outside tests) the hooks are a single ``None`` check.
+default, always, outside tests) the hook is a single ``None`` check.
 
 This module imports nothing from the rest of the package so the hook
-sites (:mod:`repro.core.parallel`, :mod:`repro.api.store`) can import
-it without cycles.
+site (:mod:`repro.api.store`) can import it without cycles.
 """
 
 from __future__ import annotations
@@ -41,10 +34,6 @@ __all__ = [
     "install_fault_plan",
 ]
 
-#: Barrier phases a ``kill_worker`` fault may name (the ProcessEngine
-#: protocol's three worker phases, in order).
-BARRIER_PHASES = ("near_and_leaf_up", "far", "leaf_down")
-
 
 @dataclass
 class FaultPlan:
@@ -55,31 +44,10 @@ class FaultPlan:
     may consult the same plan.
     """
 
-    kill_worker: tuple[str, int] | None = None
     corrupt_tier: str | None = None
     fired: list[str] = field(default_factory=list)
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.kill_worker is not None:
-            phase, wid = self.kill_worker
-            if phase not in BARRIER_PHASES:
-                raise ValueError(
-                    f"kill_worker phase must be one of {BARRIER_PHASES}, "
-                    f"got {phase!r}")
-            if wid < 0:
-                raise ValueError(f"kill_worker id must be >= 0, got {wid}")
-
-    def take_kill(self, phase: str) -> int | None:
-        """Worker id to SIGKILL at ``phase``, or None. Arms only once."""
-        with self._lock:
-            if self.kill_worker is None or self.kill_worker[0] != phase:
-                return None
-            _, wid = self.kill_worker
-            self.kill_worker = None
-            self.fired.append(f"kill_worker:{phase}:{wid}")
-            return wid
 
     def take_corrupt(self, tier: str) -> bool:
         """True exactly once for the named store tier's next load."""

@@ -138,7 +138,7 @@ class RunManifest:
         """Assemble + content-address a manifest from already-collected
         parts (``run_id`` is the SHA-256 prefix of the canonical body,
         so equal inputs name equal manifests)."""
-        from repro.tuning.profile import host_signature
+        from repro.host import host_signature
 
         body = {
             "manifest_version": MANIFEST_VERSION,
@@ -182,15 +182,15 @@ def build_run_manifest(*, session=None, service=None,
 
     Pulls the counters already kept by every layer — the session's
     :class:`~repro.api.store.StoreStats` and
-    :class:`~repro.api.session.SessionStats`, the executor's engine
-    cache, the autotuner's decisions with margins, and (when a service
-    is given) the dispatcher's latency/batching stats.
+    :class:`~repro.api.session.SessionStats`, the autotuner's decisions
+    with margins, and (when a service is given) the dispatcher's
+    latency/batching stats.
     """
     from repro.analysis.counters import analysis_counters
 
     if service is not None and session is None:
         session = service.session
-    # What the run *proved*, not just what it did: write-set and race
+    # What the run *proved*, not just what it did: write-set and sync
     # certification outcomes (deterministic counters, so the manifest's
     # byte-identity contract holds).
     stats: dict = {"manifest_write_failures": manifest_write_failures(),
@@ -199,7 +199,6 @@ def build_run_manifest(*, session=None, service=None,
     if session is not None:
         stats["store"] = session.store.cache_info()
         stats["session"] = session.stats.as_dict()
-        stats["engines"] = session._executor.engine_stats()
         stats["autotune"] = session._executor.autotune_stats()
         decisions = _autotune_decisions(session._executor._autotuner)
     if service is not None:

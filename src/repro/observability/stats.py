@@ -2,12 +2,12 @@
 
 Counters already exist at every layer — :class:`~repro.api.store.StoreStats`,
 :class:`~repro.api.session.SessionStats`, the
-:class:`~repro.api.service.KernelService` dispatcher, the executor's
-engine cache, and the autotuner — but each spoke its own dialect. This
-module flattens them into one nested dict (:func:`collect_stats`) and
-renders that as Prometheus-style ``name value`` lines
-(:func:`metrics_text`), which is what ``repro stats`` prints and what a
-future wire protocol would serve at ``/metrics``.
+:class:`~repro.api.service.KernelService` dispatcher, and the autotuner
+— but each spoke its own dialect. This module flattens them into one
+nested dict (:func:`collect_stats`) and renders that as
+Prometheus-style ``name value`` lines (:func:`metrics_text`), which is
+what ``repro stats`` prints and what a future wire protocol would serve
+at ``/metrics``.
 
 :func:`store_inventory` is the *offline* view: it reads a store
 directory's manifests raw (tolerating version skew and rot — an
@@ -45,7 +45,6 @@ def collect_stats(*, session=None, service=None, executor=None,
     if session is not None:
         out["session"] = session.stats.as_dict()
     if executor is not None:
-        out["engines"] = executor.engine_stats()
         out["autotune"] = executor.autotune_stats()
     if service is not None:
         out["service"] = service.stats(include_autotune=False)

@@ -77,7 +77,7 @@ __all__ = [
 SYNC_TRACE_VERSION = 1
 
 #: Environment variable naming a directory where the test fixtures dump
-#: recorded sync traces (mirrors ``MATROX_TRACE_DIR`` for engine traces).
+#: recorded sync traces.
 SYNC_TRACE_DIR_ENV = "MATROX_SYNC_TRACE_DIR"
 
 _tracer: "SyncTracer | None" = None

@@ -1,7 +1,7 @@
 """repro.tuning — profile-guided execution-policy autotuning.
 
-``ExecutionPolicy(order="auto")`` defers the order/backend/thread/worker/
-q_chunk choice to a measured :class:`TuningProfile` keyed by HMatrix
+``ExecutionPolicy(order="auto")`` defers the order/thread/q_chunk
+choice to a measured :class:`TuningProfile` keyed by HMatrix
 fingerprint x RHS-width bucket x host signature (x pinned knobs), seeded
 by the :mod:`repro.metrics.costmodel` executor prior and persisted
 through the :class:`~repro.api.store.PlanStore` ``"profile"`` tier.
@@ -24,7 +24,6 @@ from repro.tuning.profile import (
     PROFILE_FORMAT_VERSION,
     TuningProfile,
     hmatrix_fingerprint,
-    host_signature,
     policy_from_knobs,
     policy_knobs,
     width_bucket,
@@ -40,7 +39,6 @@ __all__ = [
     "default_autotuner",
     "register_autotune_backend",
     "hmatrix_fingerprint",
-    "host_signature",
     "policy_from_knobs",
     "policy_knobs",
     "reset_default_autotuner",

@@ -3,19 +3,18 @@
 The inspector already spends its 8.1% on structure analysis and codegen
 so the executor can pick the right lowering; this module closes the same
 loop one level up, over the *execution policy*. No single fixed
-order/backend/thread/worker/q_chunk setting wins everywhere (the Fig. 5
-and Fig. 7 sweeps), so ``ExecutionPolicy(order="auto")`` defers the
+order/thread/q_chunk setting wins everywhere (the Fig. 5 and Fig. 7
+sweeps), so ``ExecutionPolicy(order="auto")`` defers the
 choice to a measured, persisted :class:`~repro.tuning.TuningProfile`:
 
 1. **Seed analytically.** Candidates come from the policy grid filtered
-   by the host (no thread/process candidates on 1 CPU, no process pool
-   below its amortization floor) and are ranked by the
+   by the host (no thread candidates on 1 CPU) and are ranked by the
    :mod:`repro.metrics.costmodel` executor prior. A problem below the
    measurement floor (``EXECUTOR_TRIVIAL_FLOPS``) takes the analytic
    winner directly — zero trials, ``source="prior"``.
 2. **Measure short trials.** Everything else runs warmup + ``reps``
    timed passes per candidate over a representative trial panel
-   (min-of-reps; persistent pools are set up *before* the clock starts,
+   (min-of-reps; thread pools are set up *before* the clock starts,
    matching how an :class:`~repro.core.executor.Executor` amortizes
    them). The winner is recorded with its measured margin.
 3. **Persist + warm-start.** With a :class:`~repro.api.store.PlanStore`
@@ -51,14 +50,13 @@ from repro.api.policy import (
 )
 from repro.metrics.costmodel import (
     EXECUTOR_TRIVIAL_FLOPS,
-    PROCESS_BACKEND_MIN_FLOPS,
     executor_policy_priors,
 )
+from repro.host import host_signature
 from repro.observability.sync import make_lock, make_rlock
 from repro.tuning.profile import (
     TuningProfile,
     hmatrix_fingerprint,
-    host_signature,
     policy_from_knobs,
     policy_knobs,
     policy_pins,
@@ -150,12 +148,6 @@ register_autotune_backend(AutotuneBackend(
 register_autotune_backend(AutotuneBackend(
     name="original", available=lambda ctx: True,
     candidates=_original_candidates))
-register_autotune_backend(AutotuneBackend(
-    name="process",
-    available=lambda ctx: (ctx["cpus"] > 1
-                           and ctx["flops"] >= PROCESS_BACKEND_MIN_FLOPS),
-    candidates=lambda ctx: [{"order": "batched", "backend": "process",
-                             "num_workers": ctx["cpus"]}]))
 
 
 def _fingerprint_drop(tuner_ref, key) -> None:
@@ -331,9 +323,6 @@ class Autotuner:
         out, seen = [], set()
         for knobs in grid:
             merged = {**knobs, **pins}
-            if (merged.get("backend") == "process"
-                    and merged.get("order") == "original"):
-                continue  # "original" names the in-process per-block code
             frozen = tuple(sorted(merged.items()))
             if frozen in seen:
                 continue
@@ -372,7 +361,7 @@ class Autotuner:
         flops = float(H.evaluation_flops(bucket))
         candidates = self.candidate_policies(H, q, pins)
 
-        ranked = executor_policy_priors(candidates, flops, bucket, cpus)
+        ranked = executor_policy_priors(candidates, flops, cpus)
         if flops < self.min_measured_flops and not force:
             scored = [
                 {"policy": knobs, "seconds": seconds, "measured": False}
@@ -426,10 +415,9 @@ class Autotuner:
     def _measure(self, H, pol: ExecutionPolicy, W: np.ndarray) -> float:
         """Min-of-reps seconds for one candidate, pools pre-warmed.
 
-        Persistent pools (threads, worker processes) are constructed and
-        warmed before timing starts: an Executor/Session amortizes them
-        across requests, so steady-state per-call time is the quantity a
-        profile must record.
+        A thread pool is constructed and warmed before timing starts: an
+        Executor/Session amortizes it across requests, so steady-state
+        per-call time is the quantity a profile must record.
         """
         clock = time.perf_counter
 
@@ -442,11 +430,6 @@ class Autotuner:
                 best = min(best, clock() - t0)
             return best
 
-        if pol.backend == "process" and pol.order != "original":
-            from repro.core.parallel import ProcessEngine
-            with ProcessEngine(H, num_workers=pol.num_workers,
-                               q_chunk=pol.q_chunk) as engine:
-                return timed(lambda: engine.matmul(W, order=pol.order))
         if pol.num_threads and pol.num_threads > 1:
             with ThreadPoolExecutor(max_workers=pol.num_threads) as pool:
                 return timed(lambda: H.matmul(

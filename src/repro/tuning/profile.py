@@ -20,10 +20,11 @@ won, by this margin*. Profiles are keyed by
   ``order="auto"`` constrain the candidate grid, so a constrained
   profile must never answer an unconstrained query (or vice versa).
 
-Profiles travel as plain JSON-able dicts through
-:meth:`~repro.api.store.PlanStore.put_profile` /
-:meth:`~repro.api.store.PlanStore.get_profile` (same atomic-write +
-SHA-256-manifest path as plan artifacts; see DESIGN.md section 9).
+Profiles travel as plain JSON-able dicts through the
+:class:`~repro.api.store.PlanStore` ``"profile"`` tier
+(``store.put("profile", key, profile)`` / ``store.get("profile", key)``:
+the same atomic-write + SHA-256-manifest path as plan artifacts; see
+DESIGN.md section 9).
 """
 
 from __future__ import annotations
@@ -35,13 +36,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.api.policy import DEFAULT_POLICY, ExecutionPolicy
-from repro.host import host_key, host_signature
+from repro.host import host_key
 
 __all__ = [
     "PROFILE_FORMAT_VERSION",
     "TuningProfile",
     "hmatrix_fingerprint",
-    "host_signature",
     "policy_from_knobs",
     "policy_knobs",
     "width_bucket",
@@ -49,10 +49,11 @@ __all__ = [
 
 #: Schema version of the profile dict (bump on incompatible change; a
 #: mismatched stored profile is discarded and re-tuned, never mis-read).
-PROFILE_FORMAT_VERSION = 1
+#: Version 2 dropped the knobs of the removed process backend.
+PROFILE_FORMAT_VERSION = 2
 
 #: The ExecutionPolicy fields a profile records / a winner sets.
-POLICY_KNOBS = ("order", "backend", "num_threads", "num_workers", "q_chunk")
+POLICY_KNOBS = ("order", "num_threads", "q_chunk")
 
 #: Width buckets are capped here: beyond this, evaluation time scales
 #: linearly in Q and the per-column policy optimum no longer moves.
@@ -80,11 +81,6 @@ def policy_from_knobs(knobs: dict) -> ExecutionPolicy:
         raise ValueError(f"unknown policy knob(s) {unknown}")
     return ExecutionPolicy(**{k: knobs[k] for k in POLICY_KNOBS
                               if k in knobs})
-
-
-# host_signature()/host_key() live in repro.host (shared with the
-# compiled-artifact tier so both key off ONE host definition); they are
-# re-exported here — importing them from this module is deprecated.
 
 
 def hmatrix_fingerprint(H) -> str:

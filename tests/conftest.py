@@ -15,9 +15,9 @@ from repro.kernels.gaussian import GaussianKernel
 def _sync_trace_recording(request):
     """Record a sync trace per test when ``MATROX_SYNC_TRACE_DIR`` is set.
 
-    Mirrors ``MATROX_TRACE_DIR`` for engine traces: the CI analyze job
-    sets the variable while running the service/store/net suites, then
-    replays every dumped trace through ``repro analyze --sync-traces``.
+    The CI analyze job sets the variable while running the
+    service/store/net suites, then replays every dumped trace through
+    ``repro analyze --sync-traces``.
     Locks built by the ``make_lock``/``make_rlock``/``make_condition``
     factories *during* the test are traced; ``# guarded-by:`` attributes
     of the thread-tier classes record every access. Traces touching

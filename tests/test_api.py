@@ -414,7 +414,7 @@ class TestCLIPolicyFlags:
                    "--order", "batched", "--threads", "2",
                    "--q-chunk", "64", "-o", str(y_b)])
         assert rc == 0
-        assert ("order=batched, backend=thread, threads=2"
+        assert ("order=batched, threads=2"
                 in capsys.readouterr().out)
         rc = main(["evaluate", str(stored_hmatrix), "-q", "4",
                    "--order", "original", "-o", str(y_o)])

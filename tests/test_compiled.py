@@ -28,7 +28,6 @@ from repro.api.policy import ExecutionPolicy
 from repro.api.store import registered_tiers
 from repro.codegen import compiled as C
 from repro.codegen.compiled import (
-    COMPILED_FORMAT_VERSION,
     NARROW_Q_MAX,
     CompiledArtifact,
     CompiledCache,
@@ -470,8 +469,8 @@ class TestHostSignature:
 class TestAutotuneRegistry:
     def test_backends_enumerate_without_compiled(self):
         names = {b.name for b in autotune_backends()}
-        assert names >= {"batched", "original", "process"}
-        assert "compiled" not in names
+        assert names >= {"batched", "original"}
+        assert "compiled" not in names and "process" not in names
 
     def test_no_compiled_candidate_at_any_width(self, hmatrix_2d):
         tuner = Autotuner(reps=1, trial_cols=2)
@@ -486,7 +485,7 @@ class TestAutotuneRegistry:
         tuner.tune(fresh(hmatrix_2d), 2, ExecutionPolicy(order="auto"),
                    force=True)
         stats = tuner.stats_dict()
-        assert set(stats["backends"]) >= {"batched", "original", "process"}
+        assert set(stats["backends"]) >= {"batched", "original"}
         assert "compiled" not in stats["backends"]
 
     def test_auto_stays_bit_identical(self, hmatrix_2d):

@@ -57,6 +57,21 @@ class TestOrderAgreement:
         assert relative_error(hmatrix_2d.matmul(W, order="batched"),
                               y_serial) < 1e-12
 
+    def test_q_chunk_streaming_is_bit_identical(self, hmatrix_2d):
+        """An explicit q_chunk streams through the row-panel evaluator:
+        the bytes are that evaluator's chunked pass, and equal solo
+        products of each chunk (the 3-wide remainder runs fused)."""
+        H = hmatrix_2d
+        W = np.random.default_rng(8).random((H.dim, 24))
+        y = H.matmul(W, q_chunk=7)
+        perm = H.tree.perm
+        want = np.empty_like(W)
+        want[perm] = generate_batched_evaluator(H.cds, q_chunk=7)(W[perm])
+        assert y.tobytes() == want.tobytes()
+        solo = np.hstack([H.matmul(np.ascontiguousarray(W[:, c:c + 7]))
+                          for c in range(0, 24, 7)])
+        assert y.tobytes() == solo.tobytes()
+
     def test_zero_column_rhs(self, hmatrix_2d):
         y = hmatrix_2d.matmul(np.zeros((hmatrix_2d.dim, 0)), order="batched")
         assert y.shape == (hmatrix_2d.dim, 0)

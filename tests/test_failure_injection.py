@@ -6,10 +6,9 @@ an actionable ValueError instead of a deep NumPy broadcast error.
 
 The chaos classes at the bottom go further (DESIGN.md section 10): a
 :class:`~repro.observability.FaultPlan` names the exact interleaving
-point where a worker process dies or a store artifact rots, and the
-tests assert the *whole* failure contract — a typed error on the faulted
-request, counters proving exactly one respawn/rebuild, and a bit-identical
-result on the retry.
+point where a store artifact rots, and the tests assert the *whole*
+failure contract — a typed error on the faulted request, counters
+proving exactly one rebuild, and a bit-identical result on the retry.
 """
 
 import json
@@ -25,14 +24,12 @@ from repro import (
     PlanStore,
     PlanStoreError,
     Session,
-    WorkerCrashError,
     inspector,
     load_hmatrix,
 )
 from repro.compression import interpolative_decomposition
 from repro.core.evaluation import evaluate_reference
 from repro.observability import FaultPlan, inject_faults
-from repro.observability.faults import BARRIER_PHASES
 from repro.sampling import build_sampling_plan
 from repro.tree import build_cluster_tree
 from repro.tree.cluster_tree import ClusterTree
@@ -167,10 +164,9 @@ class TestTreeInvariantEnforcement:
 
 
 # --------------------------------------------------------------------------
-# Chaos: deterministic fault schedules against the process pool and the
-# plan store. Every test proves the full contract: typed error on the
-# faulted request, counters showing exactly one respawn/rebuild, and a
-# correct (bit-identical where the engine guarantees it) retry.
+# Chaos: deterministic fault schedules against the plan store. Every
+# test proves the full contract: typed error on the faulted request,
+# counters showing exactly one rebuild, and a bit-identical retry.
 # --------------------------------------------------------------------------
 
 
@@ -189,56 +185,17 @@ def _flip_payload(directory, tier) -> int:
     return hit
 
 
-class TestChaosWorkerCrash:
-    """SIGKILL a pool worker at each barrier phase; the request must fail
-    with the typed WorkerCrashError and the *next* request must respawn
-    the pool (exactly one respawn counted) and match the serial result
-    bit for bit."""
-
-    @pytest.mark.parametrize("phase", BARRIER_PHASES)
-    def test_kill_at_each_phase_then_respawn(self, phase, points_2d,
-                                             gaussian_kernel):
-        W = np.random.default_rng(7).random((len(points_2d), 4))
-        policy = ExecutionPolicy(backend="process", num_workers=2)
-        with Session(plan=CHAOS_PLAN, policy=policy) as session:
-            H = session.inspect(points_2d, kernel=gaussian_kernel)
-            ref = H.matmul(W, order="batched")  # serial ground truth
-            np.testing.assert_array_equal(session.matmul(H, W), ref)
-
-            with inject_faults(FaultPlan(kill_worker=(phase, 0))) as fp, \
-                    pytest.raises(WorkerCrashError):
-                session.matmul(H, W)
-            assert fp.fired == [f"kill_worker:{phase}:0"]
-
-            # Recovery: the dead engine is rebuilt once, then serves a
-            # bit-identical product again.
-            np.testing.assert_array_equal(session.matmul(H, W), ref)
-            engines = session.cache_info()["engines"]
-            assert engines["respawns"] == 1
-            assert engines["built"] == 2
-            assert engines["active"] == 1
-
-    def test_worker_crash_error_is_runtime_error(self):
-        # The typed error must stay catchable by pre-existing callers
-        # that match RuntimeError.
-        assert issubclass(WorkerCrashError, RuntimeError)
-
-    def test_fault_plan_rejects_unknown_phase(self):
-        with pytest.raises(ValueError, match="phase"):
-            FaultPlan(kill_worker=("warmup", 0))
+class TestChaosStoreCorruption:
+    """Corruption under a *live* session: artifacts rot after warm() but
+    before the next load. Every load fails closed (PlanStoreError), the
+    rotten artifact is quarantined, and the retry rebuilds — counters
+    prove exactly one miss + rebuild per corrupted tier."""
 
     def test_overlapping_plans_rejected(self):
         with inject_faults(FaultPlan()), \
                 pytest.raises(RuntimeError, match="already installed"), \
                 inject_faults(FaultPlan()):
             pass  # pragma: no cover
-
-
-class TestChaosStoreCorruption:
-    """Corruption under a *live* session: artifacts rot after warm() but
-    before the next load. Every load fails closed (PlanStoreError), the
-    rotten artifact is quarantined, and the retry rebuilds — counters
-    prove exactly one miss + rebuild per corrupted tier."""
 
     def _compiled_store(self, tmp_path, points, kernel):
         d = tmp_path / "store"

@@ -53,26 +53,26 @@ class TestMemoryTier:
     def test_get_put_roundtrip_identity(self, hmatrix_2d):
         store = PlanStore()
         key = ("pfp", "planfp", ("gaussian",))
-        assert store.get_hmatrix(key) is None
-        store.put_hmatrix(key, hmatrix_2d)
-        assert store.get_hmatrix(key) is hmatrix_2d
+        assert store.get("hmatrix", key) is None
+        store.put("hmatrix", key, hmatrix_2d)
+        assert store.get("hmatrix", key) is hmatrix_2d
         assert store.stats.memory_hits == 1 and store.stats.misses == 1
 
     def test_lru_capacity_respected(self, hmatrix_2d):
         store = PlanStore(memory_hmatrix=2)
         for i in range(3):
-            store.put_hmatrix(("k", i), hmatrix_2d)
-        assert store.get_hmatrix(("k", 0)) is None  # evicted, oldest
-        assert store.get_hmatrix(("k", 2)) is hmatrix_2d
+            store.put("hmatrix", ("k", i), hmatrix_2d)
+        assert store.get("hmatrix", ("k", 0)) is None  # evicted, oldest
+        assert store.get("hmatrix", ("k", 2)) is hmatrix_2d
 
     def test_memory_only_flush_requires_directory(self, hmatrix_2d,
                                                   tmp_path):
         store = PlanStore()
-        store.put_hmatrix(("k",), hmatrix_2d)
+        store.put("hmatrix", ("k",), hmatrix_2d)
         with pytest.raises(PlanStoreError, match="memory-only"):
             store.flush()
         assert store.flush(tmp_path / "snap") == 1
-        assert PlanStore(tmp_path / "snap").get_hmatrix(("k",)) is not None
+        assert PlanStore(tmp_path / "snap").get("hmatrix", ("k",)) is not None
 
     def test_distinct_keys_distinct_digests(self):
         d1 = PlanStore.digest("hmatrix", ("a", "b"))
@@ -89,9 +89,9 @@ class TestDiskTier:
     def test_hmatrix_roundtrip_same_product(self, hmatrix_2d, tmp_path):
         store = PlanStore(tmp_path)
         key = ("pfp", "planfp", ("gaussian",))
-        store.put_hmatrix(key, hmatrix_2d)
+        store.put("hmatrix", key, hmatrix_2d)
         fresh = PlanStore(tmp_path)  # no memory tier content
-        H2 = fresh.get_hmatrix(key)
+        H2 = fresh.get("hmatrix", key)
         assert fresh.stats.disk_hits == 1
         W = np.random.default_rng(0).random((hmatrix_2d.dim, 4))
         np.testing.assert_array_equal(hmatrix_2d.matmul(W), H2.matmul(W))
@@ -99,8 +99,8 @@ class TestDiskTier:
     def test_p1_roundtrip(self, p1_2d, inspector_small, gaussian_kernel,
                           tmp_path):
         store = PlanStore(tmp_path)
-        store.put_p1(("pfp", "p1fp"), p1_2d)
-        p1b = PlanStore(tmp_path).get_p1(("pfp", "p1fp"))
+        store.put("p1", ("pfp", "p1fp"), p1_2d)
+        p1b = PlanStore(tmp_path).get("p1", ("pfp", "p1fp"))
         H_a = inspector_small.run_p2(p1_2d, gaussian_kernel)
         H_b = inspector_small.run_p2(p1b, gaussian_kernel)
         W = np.random.default_rng(1).random((H_a.dim, 3))
@@ -108,17 +108,17 @@ class TestDiskTier:
 
     def test_second_get_served_from_memory(self, hmatrix_2d, tmp_path):
         store = PlanStore(tmp_path)
-        store.put_hmatrix(("k",), hmatrix_2d)
+        store.put("hmatrix", ("k",), hmatrix_2d)
         fresh = PlanStore(tmp_path)
-        fresh.get_hmatrix(("k",))
-        fresh.get_hmatrix(("k",))
+        fresh.get("hmatrix", ("k",))
+        fresh.get("hmatrix", ("k",))
         assert fresh.stats.disk_hits == 1
         assert fresh.stats.memory_hits == 1
 
     def test_manifest_records_key_and_sha(self, hmatrix_2d, tmp_path):
         store = PlanStore(tmp_path)
         key = ("pfp", "planfp", ("gaussian", (("bandwidth", 0.5),)))
-        store.put_hmatrix(key, hmatrix_2d)
+        store.put("hmatrix", key, hmatrix_2d)
         (entry,) = store.entries()
         assert entry["tier"] == "hmatrix"
         assert entry["key"] == repr(key)
@@ -127,7 +127,7 @@ class TestDiskTier:
 
     def test_no_tmp_litter_after_put(self, hmatrix_2d, tmp_path):
         store = PlanStore(tmp_path)
-        store.put_hmatrix(("k",), hmatrix_2d)
+        store.put("hmatrix", ("k",), hmatrix_2d)
         assert not list(tmp_path.glob("*.tmp.*"))
 
     def test_warm_preloads_memory(self, store_dir):
@@ -253,24 +253,24 @@ class TestIntegrity:
 class TestEviction:
     def test_max_bytes_evicts_lru(self, hmatrix_2d, p1_2d, tmp_path):
         store = PlanStore(tmp_path, max_bytes=1)  # everything but newest
-        store.put_p1(("p1",), p1_2d)
-        store.put_hmatrix(("h",), hmatrix_2d)
+        store.put("p1", ("p1",), p1_2d)
+        store.put("hmatrix", ("h",), hmatrix_2d)
         assert store.stats.evictions >= 1
         assert len(store.entries()) == 1
         # Evicted entries are clean misses (no torn state), not errors.
         fresh = PlanStore(tmp_path)
-        assert fresh.get_p1(("p1",)) is None
-        assert fresh.get_hmatrix(("h",)) is not None
+        assert fresh.get("p1", ("p1",)) is None
+        assert fresh.get("hmatrix", ("h",)) is not None
 
     def test_newest_entry_never_evicted(self, hmatrix_2d, tmp_path):
         store = PlanStore(tmp_path, max_bytes=1)
-        store.put_hmatrix(("only",), hmatrix_2d)
+        store.put("hmatrix", ("only",), hmatrix_2d)
         assert len(store.entries()) == 1
 
     def test_unbounded_by_default(self, hmatrix_2d, tmp_path):
         store = PlanStore(tmp_path)
         for i in range(3):
-            store.put_hmatrix(("k", i), hmatrix_2d)
+            store.put("hmatrix", ("k", i), hmatrix_2d)
         assert store.stats.evictions == 0
         assert len(store.entries()) == 3
 
@@ -345,8 +345,8 @@ class TestThreadSafety:
         def worker(i):
             try:
                 for j in range(5):
-                    store.put_hmatrix(("k", i, j), hmatrix_2d)
-                    assert store.get_hmatrix(("k", i, j)) is not None
+                    store.put("hmatrix", ("k", i, j), hmatrix_2d)
+                    assert store.get("hmatrix", ("k", i, j)) is not None
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -414,16 +414,16 @@ def test_memory_hits_refresh_disk_eviction_recency(hmatrix_2d, p1_2d,
     import time
 
     store = PlanStore(tmp_path)  # unbounded while populating
-    store.put_hmatrix(("hot",), hmatrix_2d)
-    store.put_p1(("cold",), p1_2d)
+    store.put("hmatrix", ("hot",), hmatrix_2d)
+    store.put("p1", ("cold",), p1_2d)
     # Make both look old, then serve "hot" from the memory tier.
     old = time.time() - 3600
     for m in tmp_path.glob("*.json"):
         os.utime(m, (old, old))
-    assert store.get_hmatrix(("hot",)) is not None  # memory hit
+    assert store.get("hmatrix", ("hot",)) is not None  # memory hit
     assert store.stats.memory_hits == 1
     store.max_bytes = 1
-    store.put_hmatrix(("new",), hmatrix_2d)  # triggers eviction
+    store.put("hmatrix", ("new",), hmatrix_2d)  # triggers eviction
     names = {e["key"] for e in store.entries()}
     assert repr(("cold",)) not in names      # cold evicted first
     assert repr(("hot",)) in names or repr(("new",)) in names

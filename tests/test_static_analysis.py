@@ -1,11 +1,10 @@
-"""repro.analysis: lint rules R001-R004, race certifier, write-set verifier.
+"""repro.analysis: lint rules R001-R004 and the write-set verifier.
 
 The acceptance bar for the analysis layer: each fixture under
 ``tests/fixtures/analysis/`` fires its rule exactly once, the shipped
-tree lints clean (``repro analyze --strict`` exits 0), the certifier
-proves a real two-worker engine race-free and flags a seeded overlap,
-and a doctored compiled artifact is rejected *before* execution — the
-cache degrades to batched bytes, never raises.
+tree lints clean (``repro analyze --strict`` exits 0), and a doctored
+compiled artifact is rejected *before* execution — the cache degrades
+to batched bytes, never raises.
 """
 
 from __future__ import annotations
@@ -16,24 +15,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import PlanStore, ProcessEngine, inspector
+from repro import PlanStore, inspector
 from repro.analysis import (
     AnalysisError,
     Finding,
-    RaceViolation,
     analysis_counters,
     bump_analysis_counter,
-    certify_trace,
-    certify_trace_dir,
     findings_to_doc,
     lint_paths,
     lint_source,
     reset_analysis_counters,
-    seed_overlap_violation,
     verify_artifact,
     verify_artifact_file,
 )
-from repro.analysis.races import TRACE_VERSION, load_trace, save_trace
 from repro.cli import main as cli_main
 from repro.codegen.compiled import (
     CompiledArtifact,
@@ -207,90 +201,6 @@ class TestShippedTreeClean:
 
 
 # --------------------------------------------------------------------------
-# Race certifier: a real engine certifies clean; a seeded overlap flags.
-# --------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def engine(H):
-    with ProcessEngine(H, num_workers=2) as eng:
-        yield eng
-
-
-@pytest.fixture(scope="module")
-def clean_trace(engine, H, W):
-    np.testing.assert_array_equal(engine.matmul(W),
-                                  H.matmul(W, order="batched"))
-    return engine.access_trace()
-
-
-class TestRaceCertifier:
-    def test_real_engine_certifies_race_free(self, clean_trace):
-        assert clean_trace["trace_version"] == TRACE_VERSION
-        assert clean_trace["num_workers"] == 2
-        actors = {a["actor"] for a in clean_trace["accesses"]}
-        assert {"master", "worker0", "worker1"} <= actors
-        assert certify_trace(clean_trace) == []
-        assert analysis_counters()["races_certified"] == 1
-        assert analysis_counters()["races_flagged"] == 0
-
-    def test_seeded_overlap_is_flagged(self, clean_trace):
-        doctored = seed_overlap_violation(clean_trace)
-        violations = certify_trace(doctored)
-        assert violations
-        v = violations[0]
-        assert isinstance(v, RaceViolation)
-        assert v.actor_a != v.actor_b
-        assert "write" in (v.mode_a, v.mode_b)
-        assert v.array in v.format() and v.phase in v.format()
-        assert analysis_counters()["races_flagged"] == 1
-        # The original trace is untouched (the mutation is a copy).
-        assert certify_trace(clean_trace) == []
-
-    def test_seeding_needs_two_writers(self, clean_trace):
-        solo = dict(clean_trace,
-                    accesses=[a for a in clean_trace["accesses"]
-                              if a["actor"] in ("master", "worker0")])
-        with pytest.raises(ValueError, match="two distinct writers"):
-            seed_overlap_violation(solo)
-
-    def test_version_gate(self):
-        with pytest.raises(ValueError, match="not a v1 access trace"):
-            certify_trace({"trace_version": 99, "accesses": []})
-        with pytest.raises(ValueError, match="not a v1 access trace"):
-            certify_trace([])
-
-    def test_trace_roundtrip_and_dir_certification(self, clean_trace,
-                                                   tmp_path):
-        save_trace(clean_trace, tmp_path / "trace-1.json")
-        save_trace(seed_overlap_violation(clean_trace),
-                   tmp_path / "trace-2.json")
-        assert load_trace(tmp_path / "trace-1.json") == clean_trace
-        results = certify_trace_dir(tmp_path)
-        assert sorted(results) == ["trace-1.json", "trace-2.json"]
-        assert results["trace-1.json"] == []
-        assert results["trace-2.json"]
-
-    def test_empty_trace_dir_fails_loudly(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="no trace JSONs"):
-            certify_trace_dir(tmp_path)
-
-    def test_engine_dumps_trace_on_close(self, H, W, tmp_path,
-                                         monkeypatch):
-        monkeypatch.setenv("MATROX_TRACE_DIR", str(tmp_path))
-        with ProcessEngine(H, num_workers=2) as eng:
-            eng.matmul(W)
-        results = certify_trace_dir(tmp_path)
-        assert len(results) == 1
-        assert next(iter(results.values())) == []
-
-    def test_idle_engine_dumps_nothing(self, H, tmp_path, monkeypatch):
-        monkeypatch.setenv("MATROX_TRACE_DIR", str(tmp_path))
-        with ProcessEngine(H, num_workers=2):
-            pass  # never ran: nothing worth certifying
-        assert list(tmp_path.glob("*.json")) == []
-
-
-# --------------------------------------------------------------------------
 # Write-set verifier: legit artifacts prove, doctored ones degrade.
 # --------------------------------------------------------------------------
 
@@ -419,7 +329,7 @@ class TestCounters:
             bump_analysis_counter("writset_verified")
 
     def test_reset(self):
-        bump_analysis_counter("races_certified")
+        bump_analysis_counter("sync_certified")
         reset_analysis_counters()
         assert set(analysis_counters().values()) == {0}
 
@@ -429,7 +339,7 @@ class TestCounters:
         bump_analysis_counter("writeset_verified")
         section = collect_stats()["analysis"]
         assert section["writeset_verified"] == 1
-        assert {"writeset_rejected", "races_certified", "races_flagged",
+        assert {"writeset_rejected", "sync_certified", "sync_flagged",
                 "lint_findings"} <= set(section)
 
 
@@ -463,24 +373,6 @@ class TestAnalyzeCLI:
         assert cli_main(["analyze", "/no/such/tree.py"]) == 2
         assert "no such path" in capsys.readouterr().err
 
-    def test_race_replay(self, clean_trace, tmp_path, capsys):
-        save_trace(clean_trace, tmp_path / "t.json")
-        assert cli_main(["analyze", "--strict", "--races", str(tmp_path),
-                         str(REPO_ROOT / "src" / "repro")]) == 0
-        assert "1 engine trace(s) certified, 0 race(s)" in \
-            capsys.readouterr().out
-
-        save_trace(seed_overlap_violation(clean_trace),
-                   tmp_path / "doctored.json")
-        assert cli_main(["analyze", "--strict", "--races", str(tmp_path),
-                         str(REPO_ROOT / "src" / "repro")]) == 1
-        assert "RACE" in capsys.readouterr().out
-
-    def test_race_replay_empty_dir_exits_two(self, tmp_path, capsys):
-        assert cli_main(["analyze", "--races", str(tmp_path),
-                         str(FIXTURES / "bad_r001.py")]) == 2
-        assert "no trace JSONs" in capsys.readouterr().err
-
     def test_artifact_verification(self, artifact, tmp_path, capsys):
         good = tmp_path / "good.npz"
         save_compiled_artifact(artifact, good)
@@ -494,17 +386,14 @@ class TestAnalyzeCLI:
                          str(REPO_ROOT / "src" / "repro")]) == 1
         assert "single-writer" in capsys.readouterr().err
 
-    def test_json_doc_records_extras(self, clean_trace, artifact,
-                                     tmp_path):
-        save_trace(clean_trace, tmp_path / "t.json")
+    def test_json_doc_records_extras(self, artifact, tmp_path):
         npz = tmp_path / "art.npz"
         save_compiled_artifact(artifact, npz)
         out_json = tmp_path / "doc.json"
         assert cli_main(["analyze", "--json", str(out_json),
-                         "--races", str(tmp_path), "--artifact", str(npz),
+                         "--artifact", str(npz),
                          str(FIXTURES / "bad_r001.py")]) == 0
         doc = json.loads(out_json.read_text())
-        assert doc["races"] == {"traces": 1, "violations": 0}
         assert doc["artifact"]["verified"] is True
         assert doc["unwaived"] == 1
 

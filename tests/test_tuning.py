@@ -5,11 +5,11 @@ Covers the tentpole acceptance criteria:
 * profiles round-trip through a PlanStore reopen with **zero re-tunes**
   (counter-asserted);
 * ``order="auto"`` returns **bit-identical** results to every fixed
-  policy it can select (orders x backends x float32/float64);
+  policy it can select (orders x threads x float32/float64);
 * re-tunes trigger exactly on the profile-key axes (width-bucket drift,
   pins, fingerprint);
 * the satellite policy-resolution bugfixes (identity-against-None in
-  ``Executor``; weakref-guarded engine identity) stay fixed.
+  ``Executor``) stay fixed.
 """
 
 from __future__ import annotations
@@ -40,13 +40,13 @@ from repro.tuning import (
     Autotuner,
     TuningProfile,
     hmatrix_fingerprint,
-    host_signature,
     policy_from_knobs,
     policy_knobs,
     tune,
     width_bucket,
 )
-from repro.tuning.profile import host_key, policy_pins
+from repro.host import host_key, host_signature
+from repro.tuning.profile import policy_pins
 
 PLAN_32 = PlanConfig(leaf_size=32, bacc=1e-6, p=4, seed=0)
 
@@ -294,7 +294,7 @@ class TestAutotuner:
         store = PlanStore(tmp_path)
         prof = tune(H, q=8, store=store, reps=1)
         assert isinstance(prof, TuningProfile)
-        assert store.get_profile(prof.key) == prof.to_dict()
+        assert store.get("profile", prof.key) == prof.to_dict()
 
 
 # --------------------------------------------------------------------------
@@ -321,11 +321,35 @@ class TestProfilePersistence:
         # overwrite with a version-skewed doc: valid artifact, stale schema
         doc = prof.to_dict()
         doc["version"] = 999
-        store.put_profile(prof.key, doc)
+        store.put("profile", prof.key, doc)
         store.clear_memory()
         warm = make_tuner(store=store)
         warm.profile_for(H, 8, ExecutionPolicy(order="auto"))
         assert warm.stats.tunes == 1          # skew = re-tune, not error
+
+    def test_v1_process_backend_profile_degrades_to_one_retune(
+            self, H, tmp_path):
+        # Earlier builds persisted version-1 profiles whose winner could
+        # name the (since removed) process backend.
+        host = host_signature()
+        key = TuningProfile.make_key(hmatrix_fingerprint(H),
+                                     width_bucket(8), host)
+        PlanStore(tmp_path).put("profile", key, {
+            "version": 1, "hmatrix_fp": hmatrix_fingerprint(H),
+            "width_bucket": width_bucket(8), "host": host, "pins": {},
+            "policy": {"order": "batched", "backend": "process",
+                       "num_workers": 2},
+            "candidates": [], "source": "measured", "margin": 1.0,
+            "trials": 2, "created": 0.0})
+
+        tuner = make_tuner(store=PlanStore(tmp_path), host=host)
+        pol = tuner.resolve(H, 8, ExecutionPolicy(order="auto"))
+        assert tuner.stats.tunes == 1
+        assert tuner.stats.store_hits == 0
+        assert pol.order in ("batched", "original")
+        assert policy_knobs(pol) in [
+            {**policy_knobs(DEFAULT_POLICY), **knobs}
+            for knobs in tuner.candidate_policies(H, 8)]
 
     def test_session_persists_profiles(self, points_2d, tmp_path):
         auto = ExecutionPolicy(order="auto")
@@ -356,20 +380,18 @@ FIXED_POLICIES = [
     ExecutionPolicy(order="original"),
     ExecutionPolicy(order="batched", q_chunk=64),
     ExecutionPolicy(order="original", num_threads=2),
-    ExecutionPolicy(order="batched", backend="process", num_workers=0),
 ]
 
 
 class TestAutoEquivalenceMatrix:
     """order="auto" must add *zero* numerical perturbation: for every
-    fixed policy the tuner can select (orders x backends), resolving to
+    fixed policy the tuner can select (orders x threads), resolving to
     it and evaluating yields bit-identical results, for float32 and
     float64 right-hand sides."""
 
     @pytest.mark.parametrize("fixed", FIXED_POLICIES,
-                             ids=lambda p: f"{p.order}-{p.backend}"
-                             f"-t{p.num_threads}-w{p.num_workers}"
-                             f"-c{p.q_chunk}")
+                             ids=lambda p: f"{p.order}"
+                             f"-t{p.num_threads}-c{p.q_chunk}")
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_auto_bit_identical_to_selected_policy(self, H, points_2d,
                                                    fixed, dtype):
@@ -436,7 +458,7 @@ class TestServiceAuto:
 
 
 # --------------------------------------------------------------------------
-# Satellite regressions: Executor policy resolution + engine identity.
+# Satellite regressions: Executor policy resolution.
 # --------------------------------------------------------------------------
 
 class FalsyPolicy(ExecutionPolicy):
@@ -448,8 +470,8 @@ class FalsyPolicy(ExecutionPolicy):
 
 
 class TestExecutorPolicyResolutionRegression:
-    """Mirrors PR 4's Session.matmul tests for Executor.matmul /
-    matmul_many / engine_for: identity-against-None is the contract."""
+    """Mirrors the Session.matmul tests for Executor.matmul /
+    matmul_many: identity-against-None is the contract."""
 
     def test_coalesce_policy_uses_identity(self):
         falsy = FalsyPolicy(order="original")
@@ -498,76 +520,6 @@ class TestExecutorPolicyResolutionRegression:
         finally:
             del H.matmul
         assert captured["order"] == "batched"
-
-    def test_engine_for_honors_falsy_policy(self, H):
-        with Executor(policy=ExecutionPolicy(
-                backend="process", num_workers=0, q_chunk=128)) as ex:
-            engine = ex.engine_for(H, FalsyPolicy(
-                backend="process", num_workers=0, q_chunk=32))
-            assert engine.q_cap == 32              # not the executor's 128
-
-
-class TestEngineIdentityRegression:
-    """Satellite fix: engines are keyed by weakref-guarded identity.
-    CPython reuses ids after collection, so an HMatrix's death must
-    evict (and close) its engine before a recycled id can alias it."""
-
-    def make_H(self, seed, inspector_small, gaussian_kernel):
-        pts = np.random.default_rng(seed).random((300, 2))
-        return inspector_small.run(pts, gaussian_kernel)
-
-    def test_engine_evicted_and_closed_on_collection(
-            self, inspector_small, gaussian_kernel):
-        with Executor(policy=ExecutionPolicy(backend="process",
-                                             num_workers=0)) as ex:
-            H = self.make_H(21, inspector_small, gaussian_kernel)
-            engine = ex.engine_for(H)
-            assert len(ex._engines) == 1
-            del H
-            gc.collect()
-            assert len(ex._engines) == 0           # finalizer evicted it
-            assert engine.closed                   # and closed it
-            assert engine.H is None                # weak ref, not a pin
-
-    def test_id_reuse_never_aliases_a_stale_engine(
-            self, inspector_small, gaussian_kernel):
-        # Force the allocator toward id reuse: repeatedly drop an
-        # HMatrix and build a similar one. Whether or not CPython
-        # actually recycles the id, every lookup must yield an engine
-        # whose H *is* the matrix asked about, with correct results.
-        with Executor(policy=ExecutionPolicy(backend="process",
-                                             num_workers=0)) as ex:
-            seen_ids = set()
-            reused = False
-            for seed in range(6):
-                H = self.make_H(seed, inspector_small, gaussian_kernel)
-                reused |= id(H) in seen_ids
-                seen_ids.add(id(H))
-                engine = ex.engine_for(H)
-                assert engine.H is H
-                W = np.random.default_rng(seed).random((300, 3))
-                np.testing.assert_array_equal(
-                    engine.matmul(W), H.matmul(W, order="batched"))
-                del H
-                gc.collect()
-            assert len(ex._engines) == 0
-
-    def test_capacity_eviction_detaches_finalizer(
-            self, inspector_small, gaussian_kernel):
-        # An H dying *after* its engine was LRU-evicted must not close a
-        # successor entry that may have recycled its id.
-        with Executor(policy=ExecutionPolicy(backend="process",
-                                             num_workers=0)) as ex:
-            ex._max_engines = 1
-            H1 = self.make_H(31, inspector_small, gaussian_kernel)
-            H2 = self.make_H(32, inspector_small, gaussian_kernel)
-            e1 = ex.engine_for(H1)
-            e2 = ex.engine_for(H2)           # evicts e1 (capacity)
-            assert e1.closed and not e2.closed
-            del H1
-            gc.collect()
-            assert list(ex._engines.values())[0][0] is e2
-            assert not e2.closed
 
 
 class TestPointsFingerprintIdReuseRegression:
