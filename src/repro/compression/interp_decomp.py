@@ -6,16 +6,60 @@ Given a matrix G (samples x candidate columns), a column ID selects r
 ``G Pi = Q [R11 R12]`` gives ``P = [I | R11^{-1} R12] Pi^T`` and the rank r
 is the smallest prefix of the R diagonal meeting the requested *block
 accuracy* — the adaptive srank tuning of the paper's low-rank module.
+
+The factorizations here are small (tens to a few hundred rows), and a
+threaded BLAS spends longer waking its workers than doing the work: with
+scipy's bundled OpenBLAS at its default 2 threads on a 2-vCPU host, a
+``solve_triangular`` of a 5x5 R against a 5x60 block took 7.9 ms per
+call, and 0.07 ms at 1 thread. Importing this module therefore pins
+scipy's OpenBLAS to one thread, once, for the whole process (see
+:func:`_pin_scipy_blas` and DESIGN.md section 15); every ``scipy.linalg``
+call in the process then runs single-threaded. numpy's BLAS, which runs
+the executor's wide GEMMs, is a separate library and keeps its threads.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.cython_blas
 
 from repro.utils.validation import require
+
+#: Thread-count setters scipy's bundled OpenBLAS may export, newest name
+#: first (the ``scipy_`` prefix is the symbol-prefixed wheel build).
+_SETTERS = ("scipy_openblas_set_num_threads", "openblas_set_num_threads")
+
+
+def _pin_scipy_blas() -> bool:
+    """Set scipy's bundled OpenBLAS to one thread; True if it took.
+
+    Process-wide and done once at import: setting and restoring the count
+    around each call would race between tenants compiling concurrently.
+    Returns False (and changes nothing) when scipy links a BLAS without
+    an OpenBLAS setter (MKL, BLIS, Accelerate) or the library cannot be
+    opened.
+    """
+    try:
+        lib = ctypes.CDLL(scipy.linalg.cython_blas.__file__)
+    except OSError:
+        return False
+    for name in _SETTERS:
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(1)
+            return True
+    return False
+
+
+#: Whether the import-time pin took effect (False: scipy's BLAS is not an
+#: OpenBLAS with a thread setter, and runs at its own default).
+SCIPY_BLAS_PINNED = _pin_scipy_blas()
 
 
 @dataclass(frozen=True)
@@ -90,8 +134,9 @@ def interpolative_decomposition(
             rank=1, achieved_error=0.0,
         )
 
-    # Pivoted QR: G[:, piv] = Q @ R with |diag(R)| non-increasing.
-    _q, R, piv = scipy.linalg.qr(G, mode="economic", pivoting=True)
+    # Pivoted QR: G[:, piv] = Q @ R with |diag(R)| non-increasing. Only R
+    # and the pivots are used, so Q is never formed.
+    R, piv = scipy.linalg.qr(G, mode="r", pivoting=True)
     rdiag = np.abs(np.diag(R))
     kmax = min(s, m)
 

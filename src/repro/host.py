@@ -7,8 +7,7 @@ BLAS/CPU configuration). Both MUST use the same signature: if the tuner
 and the compiled tier disagreed about what "this host" means, a
 signature change (new BLAS, different affinity mask) would invalidate
 one cache but silently replay the other. This module is the single
-definition; :mod:`repro.tuning.profile` re-exports it for backward
-compatibility.
+definition.
 """
 
 from __future__ import annotations

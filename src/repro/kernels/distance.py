@@ -21,7 +21,12 @@ def pairwise_sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         )
     x2 = np.einsum("ij,ij->i", X, X)
     y2 = np.einsum("ij,ij->i", Y, Y)
-    d2 = x2[:, None] - 2.0 * (X @ Y.T) + y2[None, :]
+    # Built in place on the GEMM output: no full-size temporaries, and the
+    # same bits as ``x2 - 2 XY + y2`` (scaling by -2 is exact).
+    d2 = X @ Y.T
+    d2 *= -2.0
+    d2 += x2[:, None]
+    d2 += y2[None, :]
     np.maximum(d2, 0.0, out=d2)
     return d2
 

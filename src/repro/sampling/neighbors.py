@@ -12,12 +12,16 @@ from repro.utils.validation import check_points, require
 def exact_knn(points, k: int, chunk: int = 2048) -> np.ndarray:
     """Exact k-nearest-neighbour indices (excluding self), shape (N, k).
 
-    Chunked over query rows so the distance block stays cache-resident;
-    used directly for small N and as ground truth for the rp-tree tests.
+    Chunked over query rows (``chunk`` rows at a time) to bound the
+    distance block; used directly for small N and as ground truth for the
+    rp-tree tests. Ties are broken the same way whatever ``chunk`` is,
+    but BLAS may round a few distances differently for different chunk
+    shapes, so a near-tie can still resolve differently.
     """
     pts = check_points(points)
     n = len(pts)
     require(1 <= k < n, f"k must be in [1, N-1], got k={k}, N={n}")
+    require(chunk >= 1, f"chunk must be >= 1, got {chunk}")
     out = np.empty((n, k), dtype=np.intp)
     for start in range(0, n, chunk):
         block = pts[start : start + chunk]

@@ -1,11 +1,16 @@
 """Unit and property tests for interpolative decomposition."""
 
+import ctypes
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.cython_blas
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression import interpolative_decomposition
+from repro.compression import interp_decomp, interpolative_decomposition
 
 
 def lowrank_matrix(rng, s, m, r, noise=0.0):
@@ -119,3 +124,102 @@ class TestInterpolativeDecomposition:
         d = interpolative_decomposition(G, bacc=1e-6)
         rel = np.linalg.norm(d.reconstruct(G) - G) / np.linalg.norm(G)
         assert rel < 1e-4
+
+
+def _economic_qr(qr):
+    """scipy's pivoted QR as the ID computed it before: Q formed, dropped."""
+
+    def wrapped(G, mode="full", pivoting=False, **kw):
+        assert mode == "r" and pivoting
+        _q, R, piv = qr(G, mode="economic", pivoting=True, **kw)
+        return R, piv
+
+    return wrapped
+
+
+class TestRonlyQR:
+    """``mode="r"`` skips forming Q; R, the pivots and the ID are unchanged."""
+
+    @pytest.mark.parametrize(
+        "shape, true_rank, kw",
+        [
+            ((12, 30), None, {}),  # s < m
+            ((40, 15), None, {}),  # s > m
+            ((20, 20), None, {}),  # s = m
+            ((25, 18), 4, {}),  # rank-deficient
+            ((30, 30), 3, {"bacc": 1e-12}),  # deficient, tight bacc
+            ((25, 18), None, {"rank": 5}),  # fixed-rank override
+            ((10, 8), 0, {}),  # zero matrix
+        ],
+    )
+    def test_bit_identical_to_economic(self, rng, monkeypatch, shape, true_rank, kw):
+        s, m = shape
+        if true_rank is None:
+            U, _ = np.linalg.qr(rng.normal(size=(s, min(s, m))))
+            V, _ = np.linalg.qr(rng.normal(size=(m, min(s, m))))
+            G = U @ np.diag(2.0 ** -np.arange(min(s, m))) @ V.T
+        elif true_rank == 0:
+            G = np.zeros(shape)
+        else:
+            G = lowrank_matrix(rng, s, m, true_rank)
+        got = interpolative_decomposition(G, **kw)
+        monkeypatch.setattr(scipy.linalg, "qr", _economic_qr(scipy.linalg.qr))
+        want = interpolative_decomposition(G, **kw)
+        assert got.rank == want.rank
+        np.testing.assert_array_equal(got.skeleton, want.skeleton)
+        assert got.interp.tobytes() == want.interp.tobytes()
+        assert got.achieved_error == want.achieved_error
+
+
+class _FakeLib:
+    """A loaded BLAS with only the given exported thread setters."""
+
+    def __init__(self, *names):
+        self.calls = []
+        for name in names:
+            setattr(self, name, self._setter(name))
+
+    def _setter(self, name):
+        def setter(n):
+            self.calls.append((name, n))
+
+        return setter
+
+
+class TestScipyBlasPin:
+    """Importing repro pins scipy's bundled OpenBLAS to one thread."""
+
+    def test_import_pins_scipy_openblas_to_one_thread(self):
+        # This module's own ``import repro.compression`` made the pin.
+        lib = ctypes.CDLL(scipy.linalg.cython_blas.__file__)
+        getter = getattr(lib, "scipy_openblas_get_num_threads", None) or getattr(
+            lib, "openblas_get_num_threads", None
+        )
+        if getter is None:
+            pytest.skip("scipy's BLAS exports no OpenBLAS thread getter")
+        assert interp_decomp.SCIPY_BLAS_PINNED
+        assert getter() == 1
+
+    def test_prefers_prefixed_setter_then_falls_back(self, monkeypatch):
+        both = _FakeLib(*interp_decomp._SETTERS)
+        monkeypatch.setattr(interp_decomp.ctypes, "CDLL", lambda path: both)
+        assert interp_decomp._pin_scipy_blas() is True
+        assert both.calls == [("scipy_openblas_set_num_threads", 1)]
+
+        legacy = _FakeLib("openblas_set_num_threads")
+        monkeypatch.setattr(interp_decomp.ctypes, "CDLL", lambda path: legacy)
+        assert interp_decomp._pin_scipy_blas() is True
+        assert legacy.calls == [("openblas_set_num_threads", 1)]
+
+    @pytest.mark.parametrize("failure", ["no-symbol", "no-library"])
+    def test_silent_noop_when_lookup_fails(self, monkeypatch, capsys, failure):
+        def cdll(path):
+            if failure == "no-library":
+                raise OSError("cannot open shared object")
+            return _FakeLib()  # e.g. MKL/BLIS/Accelerate: no setter
+
+        monkeypatch.setattr(interp_decomp.ctypes, "CDLL", cdll)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert interp_decomp._pin_scipy_blas() is False
+        assert capsys.readouterr() == ("", "")

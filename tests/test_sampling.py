@@ -36,6 +36,23 @@ class TestExactKnn:
         b = exact_knn(pts, k=4, chunk=1000)
         np.testing.assert_array_equal(a, b)
 
+    def test_chunking_consistent_under_ties(self):
+        # A regular integer lattice: distances are exact, and every
+        # interior point has 4 neighbours at the same distance, so the
+        # answer hinges on tie-breaking, which must not depend on how the
+        # query rows are chunked.
+        pts = np.indices((32, 40)).reshape(2, -1).T.astype(float)
+        n = len(pts)
+        want = exact_knn(pts, k=6, chunk=n)
+        for chunk in (1, 7, 256):
+            np.testing.assert_array_equal(exact_knn(pts, k=6, chunk=chunk), want)
+        np.testing.assert_array_equal(exact_knn(pts, k=6), want)
+
+    @pytest.mark.parametrize("chunk", [0, -3])
+    def test_chunk_must_be_positive(self, rng, chunk):
+        with pytest.raises(ValueError):
+            exact_knn(rng.random((10, 2)), k=2, chunk=chunk)
+
     def test_k_bounds(self, rng):
         pts = rng.random((10, 2))
         with pytest.raises(ValueError):
